@@ -4,9 +4,8 @@
 //
 // Two modes:
 //   bench_micro_netsim [google-benchmark flags]   interactive tables
-//   bench_micro_netsim --bench-json=PATH          BENCH_netsim.json metrics,
-//     including the calendar-vs-heap scheduler comparison the performance
-//     trajectory is pinned on (docs/performance.md).
+//   bench_micro_netsim --bench-json=PATH          BENCH_netsim.json metrics
+//     (docs/performance.md).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -134,16 +133,11 @@ BENCHMARK(BM_WorldBuild)->Arg(5)->Arg(20)->Unit(benchmark::kMillisecond);
 
 // -- --bench-json mode --------------------------------------------------------
 
-/// Steady-state timer throughput through one scheduling path, at the event
-/// population a sharded paper-scale campaign sustains (hundreds of
-/// thousands of concurrent timers at the 100us..50ms pacing/link/retry
-/// timescales). `legacy` selects the seed's hot path -- the binary heap
-/// with a heap-allocated cancellation control block per event (schedule());
-/// otherwise the overhauled path runs: calendar queue + the allocation-free
-/// post() fast path packet delivery uses. Returns events/second.
-double timer_events_per_sec(bool legacy, std::uint64_t budget) {
-  netsim::Simulator sim(legacy ? netsim::SchedulerKind::LegacyHeap
-                               : netsim::SchedulerKind::Calendar);
+/// Steady-state timer throughput of the scheduler: self-rescheduling timers
+/// at the 100us..50ms pacing/link/retry timescales, submitted through the
+/// allocation-free post() path packet delivery uses. Returns events/second.
+double timer_events_per_sec(std::uint64_t budget) {
+  netsim::Simulator sim;
 
   util::Rng rng(7);
   std::vector<util::SimDuration> delays;
@@ -153,37 +147,25 @@ double timer_events_per_sec(bool legacy, std::uint64_t budget) {
   }
 
   // Self-rescheduling timer state shared by reference: the per-event
-  // closure is one pointer, so it rides the schedulers' inline storage on
-  // both paths and the comparison isolates the scheduling machinery itself.
+  // closure is one pointer, so it rides the inline storage and the
+  // measurement isolates the scheduling machinery itself.
   struct TickState {
     netsim::Simulator& sim;
     const std::vector<util::SimDuration>& delays;
     std::uint64_t remaining;
     std::uint64_t cursor = 0;
-    bool legacy;
     void fire() {
       if (remaining == 0) return;
       --remaining;
-      const auto delay = delays[cursor++ & 1023];
-      if (legacy) {
-        (void)sim.schedule(delay, [this] { fire(); });
-      } else {
-        sim.post(delay, [this] { fire(); });
-      }
+      sim.post(delays[cursor++ & 1023], [this] { fire(); });
     }
   };
-  TickState tick{sim, delays, budget, 0, legacy};
-  // ~50k concurrent timers is what one campaign shard sustains mid-trace;
-  // the calendar's edge peaks here (2x+) and narrows past ~500k pending,
-  // where the 200-byte events outgrow the cache (docs/performance.md).
-  constexpr int kTimers = 50'000;
+  TickState tick{sim, delays, budget};
+  // A paper-scale campaign shard peaks at ~124 pending events (mostly 1 s
+  // retransmit and deadline timers), so the bench holds that many.
+  constexpr int kTimers = 128;
   for (int i = 0; i < kTimers; ++i) {
-    const auto delay = delays[static_cast<std::size_t>(i) & 1023];
-    if (legacy) {
-      (void)sim.schedule(delay, [&tick] { tick.fire(); });
-    } else {
-      sim.post(delay, [&tick] { tick.fire(); });
-    }
+    sim.post(delays[static_cast<std::size_t>(i) & 1023], [&tick] { tick.fire(); });
   }
 
   const bench::Stopwatch timer;
@@ -217,25 +199,19 @@ std::pair<double, double> probe_throughput(int probes) {
 
 int run_bench_json(const std::string& path) {
   constexpr std::uint64_t kBudget = 1'000'000;
-  // Best-of-three: these ratios gate CI, so squeeze scheduler noise out.
-  double overhauled = 0.0, legacy = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    overhauled = std::max(overhauled, timer_events_per_sec(/*legacy=*/false, kBudget));
-    legacy = std::max(legacy, timer_events_per_sec(/*legacy=*/true, kBudget));
+  double events_per_sec = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {  // best-of-three squeezes out noise
+    events_per_sec = std::max(events_per_sec, timer_events_per_sec(kBudget));
   }
   const auto [probes_per_sec, events_per_probe] = probe_throughput(400);
 
   bench::BenchJson json("netsim");
-  json.add("sim_events_per_sec_calendar", overhauled, "events/s");
-  json.add("sim_events_per_sec_legacy", legacy, "events/s");
-  json.add("calendar_vs_legacy_speedup", legacy > 0.0 ? overhauled / legacy : 0.0,
-           "x", /*guarded=*/true);
+  json.add("sim_events_per_sec", events_per_sec, "events/s");
   json.add("probes_per_sec", probes_per_sec, "probes/s");
   json.add("sim_events_per_probe", events_per_probe, "events",
            /*guarded=*/true);
-  std::printf("calendar+post %.3g ev/s, legacy heap+schedule %.3g ev/s, "
-              "speedup %.2fx\n",
-              overhauled, legacy, legacy > 0.0 ? overhauled / legacy : 0.0);
+  std::printf("scheduler %.3g ev/s, %.3g probes/s, %.1f events/probe\n",
+              events_per_sec, probes_per_sec, events_per_probe);
   return json.write(path) ? 0 : 1;
 }
 

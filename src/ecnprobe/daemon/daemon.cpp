@@ -240,7 +240,8 @@ void CampaignDaemon::drain() {
     for (const auto& [id, campaign] : campaigns_) {
       if (campaign->exec) campaign->exec->request_halt();
     }
-    cv_.notify_all();
+    work_cv_.notify_all();
+    drain_cv_.notify_all();
   }
   for (auto& runner : runners_) {
     if (runner.joinable()) runner.join();
@@ -256,7 +257,7 @@ void CampaignDaemon::runner_loop() {
     std::shared_ptr<Campaign> campaign;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return draining_ || !queue_.empty(); });
+      work_cv_.wait(lock, [this] { return draining_ || !queue_.empty(); });
       if (draining_) return;  // queued specs stay on disk for the next start
       campaign = queue_.front();
       queue_.pop_front();
@@ -272,8 +273,8 @@ void CampaignDaemon::watchdog_loop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (cv_.wait_for(lock, std::chrono::milliseconds(100),
-                       [this] { return draining_; })) {
+      if (drain_cv_.wait_for(lock, std::chrono::milliseconds(100),
+                             [this] { return draining_; })) {
         return;
       }
       const auto now = std::chrono::steady_clock::now();
@@ -512,7 +513,7 @@ http::ObsHttpServer::Response CampaignDaemon::admit(const std::string& body) {
     }
     campaigns_.emplace(campaign->id, campaign);
     queue_.push_back(campaign);
-    cv_.notify_one();
+    work_cv_.notify_one();
   }
   admitted_.fetch_add(1, std::memory_order_relaxed);
   emit_event("admission", "id=" + campaign->id + " tenant=" + spec->tenant +

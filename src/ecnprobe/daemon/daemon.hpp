@@ -153,7 +153,10 @@ class CampaignDaemon {
   bool started_ = false;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  /// Runners wait here for queued work or drain. The watchdog waits on its
+  /// own `drain_cv_`, so a queue push can never wake it instead of a runner.
+  std::condition_variable work_cv_;
+  std::condition_variable drain_cv_;
   bool draining_ = false;
   std::uint64_t next_seq_ = 1;
   std::map<std::string, std::shared_ptr<Campaign>> campaigns_;

@@ -206,13 +206,14 @@ std::vector<Trace> ParallelCampaign::run(const CampaignPlan& plan) {
   failures_.clear();
   completed_.store(0, std::memory_order_relaxed);
   total_.store(static_cast<int>(schedule.size()), std::memory_order_relaxed);
-  merged_metrics_ = {};
   flight_events_.clear();
   telemetry_ = options_.telemetry.sketched()
                    ? obs::TelemetryAggregate(options_.telemetry.resolved(options_.telemetry.seed))
                    : obs::TelemetryAggregate{};
   {
+    // metrics_snapshot() may already be polling from another thread.
     std::lock_guard<std::mutex> lock(merge_mutex_);
+    merged_metrics_ = {};
     pending_.clear();
     next_merge_ = 0;
   }

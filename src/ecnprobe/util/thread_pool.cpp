@@ -66,7 +66,10 @@ void ThreadPool::worker_main(int index) {
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (error && !first_error_) first_error_ = error;
+      // Hand over (or drop) our reference under the lock, so the exception
+      // is never released concurrently with wait_idle()'s caller using it.
+      if (error && !first_error_) first_error_ = std::move(error);
+      error = nullptr;
       --active_;
       if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
     }

@@ -1,7 +1,7 @@
-// Property tests for the calendar-queue scheduler: under adversarial event
-// distributions -- same-tick bursts, far-future ladder spills, wheel resize
-// churn, interleaved push/pop -- the pop order must equal a reference sort
-// by (when, seq), and must match the legacy binary heap event for event.
+// Property test for the simulator's event queue: under randomized
+// interleavings of push and pop -- same-tick bursts, near and far-future
+// events, a clock that only moves forward -- the pop order must equal a
+// reference stable sort by (when, seq).
 #include "ecnprobe/netsim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -26,160 +26,64 @@ SimEvent make_event(std::int64_t when_ns, std::uint64_t seq) {
   return ev;
 }
 
-Key key_of(const SimEvent& ev) { return {ev.when.count_nanos(), ev.seq}; }
-
-/// Pushes `whens` into the queue, pops everything, and checks the order
-/// equals the reference sort of (when, seq).
-template <typename Queue>
-void expect_sorted_drain(Queue& queue, const std::vector<std::int64_t>& whens) {
-  std::vector<Key> expected;
-  expected.reserve(whens.size());
-  for (std::size_t i = 0; i < whens.size(); ++i) {
-    queue.push(make_event(whens[i], i));
-    expected.emplace_back(whens[i], i);
-  }
-  std::sort(expected.begin(), expected.end());
-  std::vector<Key> actual;
-  actual.reserve(whens.size());
-  while (!queue.empty()) actual.push_back(key_of(queue.pop()));
-  ASSERT_EQ(actual.size(), expected.size());
-  EXPECT_EQ(actual, expected);
-}
-
-TEST(CalendarQueue, SameTickBurstPopsInInsertionOrder) {
-  CalendarQueue queue;
-  std::vector<std::int64_t> whens(5000, 42'000);  // one tick, 5000 events
-  expect_sorted_drain(queue, whens);
-}
-
-TEST(CalendarQueue, SameTickBurstAcrossAFewTicks) {
-  CalendarQueue queue;
-  util::Rng rng(1);
-  std::vector<std::int64_t> whens;
-  for (int i = 0; i < 4000; ++i) {
-    whens.push_back(static_cast<std::int64_t>(rng.next_below(4)) * 1'000'000);
-  }
-  expect_sorted_drain(queue, whens);
-}
-
-TEST(CalendarQueue, FarFutureEventsSpillToLadderAndReturn) {
-  // A tiny wheel (width 64ns x 8 buckets = 512ns horizon) forces almost
-  // everything through the ladder and its reseed path.
-  CalendarQueue queue(64, 8);
-  util::Rng rng(2);
-  std::vector<std::int64_t> whens;
-  for (int i = 0; i < 3000; ++i) {
-    whens.push_back(static_cast<std::int64_t>(rng.next_below(1'000'000'000)));
-  }
-  std::vector<Key> expected;
-  for (std::size_t i = 0; i < whens.size(); ++i) {
-    queue.push(make_event(whens[i], i));
-    expected.emplace_back(whens[i], i);
-  }
-  EXPECT_GT(queue.ladder_size(), 0u);
-  std::sort(expected.begin(), expected.end());
-  std::vector<Key> actual;
-  while (!queue.empty()) actual.push_back(key_of(queue.pop()));
-  EXPECT_EQ(actual, expected);
-}
-
-TEST(CalendarQueue, ResizeChurnKeepsOrder) {
-  // Tiny bucket count so occupancy-driven doubling fires repeatedly.
-  CalendarQueue queue(1'000, 2);
-  util::Rng rng(3);
-  std::vector<std::int64_t> whens;
-  for (int i = 0; i < 2000; ++i) {
-    whens.push_back(static_cast<std::int64_t>(rng.next_below(1'500)));
-  }
-  expect_sorted_drain(queue, whens);
-  EXPECT_GT(queue.resizes(), 0u);
-  EXPECT_GT(queue.bucket_count(), 2u);
-}
-
-TEST(CalendarQueue, InterleavedPushPopMatchesLegacyHeap) {
-  CalendarQueue calendar(128, 16);  // small wheel: exercises every path
-  LegacyHeapQueue heap;
-  util::Rng rng(4);
-  std::int64_t now = 0;
-  std::uint64_t seq = 0;
-  std::vector<Key> calendar_order;
-  std::vector<Key> heap_order;
-  for (int round = 0; round < 20'000; ++round) {
-    const bool push = calendar.empty() || rng.next_below(100) < 55;
-    if (push) {
-      // Mix of immediate, same-tick, near, and far-future events; never in
-      // the past relative to the virtual clock, like the simulator clamps.
-      const std::uint64_t kind = rng.next_below(4);
-      std::int64_t when = now;
-      if (kind == 1) when = now + static_cast<std::int64_t>(rng.next_below(100));
-      if (kind == 2) when = now + static_cast<std::int64_t>(rng.next_below(10'000));
-      if (kind == 3) when = now + static_cast<std::int64_t>(rng.next_below(100'000'000));
-      calendar.push(make_event(when, seq));
-      heap.push(make_event(when, seq));
-      ++seq;
-    } else {
-      ASSERT_EQ(calendar.min_when(), heap.min_when());
-      const SimEvent a = calendar.pop();
-      const SimEvent b = heap.pop();
-      calendar_order.push_back(key_of(a));
-      heap_order.push_back(key_of(b));
-      now = a.when.count_nanos();
+TEST(EventQueue, InterleavedPushPopMatchesSortedReference) {
+  for (const std::uint64_t seed : {1u, 4u, 99u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    EventQueue queue;
+    util::Rng rng(seed);
+    std::int64_t now = 0;
+    std::uint64_t seq = 0;
+    std::vector<Key> pending;  // reference: everything pushed, not yet popped
+    for (int round = 0; round < 20'000; ++round) {
+      if (queue.empty() || rng.next_below(100) < 55) {
+        // Immediate, same-tick, near and far-future events; never in the
+        // past relative to the virtual clock, like the simulator clamps.
+        const std::uint64_t kind = rng.next_below(4);
+        std::int64_t when = now;
+        if (kind == 1) when = now + static_cast<std::int64_t>(rng.next_below(100));
+        if (kind == 2) when = now + static_cast<std::int64_t>(rng.next_below(10'000));
+        if (kind == 3) when = now + static_cast<std::int64_t>(rng.next_below(100'000'000));
+        queue.push(make_event(when, seq));
+        pending.emplace_back(when, seq);
+        ++seq;
+      } else {
+        const auto expected = std::min_element(pending.begin(), pending.end());
+        ASSERT_EQ(queue.min_when().count_nanos(), expected->first);
+        const SimEvent ev = queue.pop();
+        ASSERT_EQ(Key(ev.when.count_nanos(), ev.seq), *expected);
+        pending.erase(expected);
+        now = ev.when.count_nanos();
+      }
     }
+    std::sort(pending.begin(), pending.end());
+    for (const Key& expected : pending) {
+      const SimEvent ev = queue.pop();
+      ASSERT_EQ(Key(ev.when.count_nanos(), ev.seq), expected);
+    }
+    EXPECT_TRUE(queue.empty());
   }
-  while (!calendar.empty()) {
-    calendar_order.push_back(key_of(calendar.pop()));
-    heap_order.push_back(key_of(heap.pop()));
-  }
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(calendar_order, heap_order);
 }
 
-TEST(CalendarQueue, ReanchorsAfterFullDrain) {
-  CalendarQueue queue;
-  // Drain at a low timestamp, then push far beyond the old horizon: the
-  // wheel must re-anchor rather than spill to the ladder forever.
-  queue.push(make_event(100, 0));
-  (void)queue.pop();
-  const std::int64_t far = 40'000'000'000'000;  // ~11 sim-hours
-  queue.push(make_event(far, 1));
-  EXPECT_EQ(queue.ladder_size(), 0u);  // re-anchored, not laddered
-  EXPECT_EQ(queue.pop().when.count_nanos(), far);
+TEST(EventQueue, SameTickBurstPopsInInsertionOrder) {
+  EventQueue queue;
+  for (std::uint64_t i = 0; i < 5000; ++i) queue.push(make_event(42'000, i));
+  for (std::uint64_t i = 0; i < 5000; ++i) ASSERT_EQ(queue.pop().seq, i);
+  EXPECT_TRUE(queue.empty());
 }
 
-TEST(CalendarQueue, ClearRetainsBucketCapacity) {
-  CalendarQueue queue;
+TEST(EventQueue, ClearEmptiesAndQueueStaysUsable) {
+  EventQueue queue;
   for (int i = 0; i < 1000; ++i) queue.push(make_event(i * 10, static_cast<std::uint64_t>(i)));
-  const std::size_t buckets = queue.bucket_count();
   queue.clear();
   EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.bucket_count(), buckets);
-  expect_sorted_drain(queue, {30, 10, 20});
-}
-
-TEST(EventQueue, KindSelectsBackend) {
-  EventQueue calendar(SchedulerKind::Calendar);
-  EventQueue heap(SchedulerKind::LegacyHeap);
-  EXPECT_EQ(calendar.kind(), SchedulerKind::Calendar);
-  EXPECT_EQ(heap.kind(), SchedulerKind::LegacyHeap);
-  for (EventQueue* q : {&calendar, &heap}) {
-    q->push(make_event(50, 1));
-    q->push(make_event(50, 0));
-    q->push(make_event(10, 2));
-    EXPECT_EQ(q->min_when().count_nanos(), 10);
-    EXPECT_EQ(q->pop().seq, 2u);
-    EXPECT_EQ(q->pop().seq, 0u);  // same tick: insertion order
-    EXPECT_EQ(q->pop().seq, 1u);
-    EXPECT_TRUE(q->empty());
-  }
-}
-
-TEST(EventQueue, EnvVariableSelectsLegacyHeap) {
-  ::setenv("ECNPROBE_SCHEDULER", "heap", 1);
-  EXPECT_EQ(scheduler_kind_from_env(), SchedulerKind::LegacyHeap);
-  ::setenv("ECNPROBE_SCHEDULER", "calendar", 1);
-  EXPECT_EQ(scheduler_kind_from_env(), SchedulerKind::Calendar);
-  ::unsetenv("ECNPROBE_SCHEDULER");
-  EXPECT_EQ(scheduler_kind_from_env(), SchedulerKind::Calendar);
+  queue.push(make_event(30, 0));
+  queue.push(make_event(10, 1));
+  queue.push(make_event(10, 2));
+  EXPECT_EQ(queue.min_when().count_nanos(), 10);
+  EXPECT_EQ(queue.pop().seq, 1u);
+  EXPECT_EQ(queue.pop().seq, 2u);
+  EXPECT_EQ(queue.pop().seq, 0u);
+  EXPECT_TRUE(queue.empty());
 }
 
 }  // namespace

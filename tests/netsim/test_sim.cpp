@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "ecnprobe/util/rng.hpp"
 
 namespace ecnprobe::netsim {
 namespace {
@@ -143,24 +149,98 @@ TEST(Simulator, ClearPendingDropsEventsAndIdleCallbacks) {
   EXPECT_FALSE(fired);
 }
 
-TEST(Simulator, SameNanosecondTieBreakIsSubmissionOrderOnBothSchedulers) {
+TEST(Simulator, SameNanosecondTieBreakIsSubmissionOrder) {
   // The total event order is (when, seq) with seq assigned at submission.
   // schedule() and post() draw from the same counter, so events landing on
   // the same nanosecond fire in exact submission order regardless of how
-  // they were submitted -- and regardless of the scheduler backend.
-  for (const auto kind : {SchedulerKind::Calendar, SchedulerKind::LegacyHeap}) {
-    Simulator sim(kind);
-    std::vector<int> order;
-    sim.schedule(5_ms, [&] { order.push_back(0); });
-    sim.post(5_ms, [&] { order.push_back(1); });
-    sim.schedule(5_ms, [&] { order.push_back(2); });
-    sim.post(5_ms, [&] { order.push_back(3); });
-    // An earlier event submitted later still fires first (time dominates).
-    sim.schedule(1_ms, [&] { order.push_back(4); });
+  // they were submitted.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(5_ms, [&] { order.push_back(0); });
+  sim.post(5_ms, [&] { order.push_back(1); });
+  sim.schedule(5_ms, [&] { order.push_back(2); });
+  sim.post(5_ms, [&] { order.push_back(3); });
+  // An earlier event submitted later still fires first (time dominates).
+  sim.schedule(1_ms, [&] { order.push_back(4); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{4, 0, 1, 2, 3}));
+}
+
+TEST(Simulator, RandomizedStormFiresInWhenSeqOrder) {
+  // Randomized schedule / post / cancel workloads, some events scheduling
+  // same-instant children when they fire (the recursive shape protocol
+  // timers have). Labels are handed out in submission order, so a label is
+  // its event's seq; the fire order must equal the uncancelled submissions
+  // sorted by (when, label).
+  struct Submitted {
+    std::int64_t when_ns;
+    int label;
+    bool cancelled = false;
+  };
+  for (const std::uint64_t seed : {1u, 7u, 99u, 12345u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Simulator sim;
+    util::Rng rng(seed);
+    std::vector<Submitted> submitted;
+    std::vector<int> fired;
+    std::vector<std::pair<EventHandle, int>> handles;  // (handle, label)
+    const auto record = [&](SimDuration delay) {
+      const int label = static_cast<int>(submitted.size());
+      submitted.push_back({(sim.now() + delay).count_nanos(), label});
+      return label;
+    };
+
+    for (int i = 0; i < 200; ++i) {
+      const auto delay = SimDuration::nanos(static_cast<std::int64_t>(rng.next_below(50'000)));
+      const int label = record(delay);
+      if (rng.next_below(3) == 0) {
+        sim.post(delay, [&fired, label] { fired.push_back(label); });
+        continue;
+      }
+      handles.emplace_back(sim.schedule(delay, [&, label] {
+        fired.push_back(label);
+        if (rng.next_below(2) == 0) {
+          // Same-instant child: fires after everything already queued for
+          // this instant, because its seq is larger.
+          const int child = record(SimDuration{});
+          sim.post(SimDuration{}, [&fired, child] { fired.push_back(child); });
+        }
+      }), label);
+    }
+    for (std::size_t i = 0; i < handles.size(); i += 3) {
+      handles[i].first.cancel();
+      submitted[static_cast<std::size_t>(handles[i].second)].cancelled = true;
+    }
     sim.run();
-    EXPECT_EQ(order, (std::vector<int>{4, 0, 1, 2, 3}))
-        << "kind=" << static_cast<int>(kind);
+
+    std::vector<Submitted> expected;
+    for (const auto& s : submitted) {
+      if (!s.cancelled) expected.push_back(s);
+    }
+    std::sort(expected.begin(), expected.end(), [](const auto& a, const auto& b) {
+      return a.when_ns != b.when_ns ? a.when_ns < b.when_ns : a.label < b.label;
+    });
+    std::vector<int> expected_labels;
+    for (const auto& s : expected) expected_labels.push_back(s.label);
+    ASSERT_FALSE(fired.empty());
+    EXPECT_EQ(fired, expected_labels);
   }
+}
+
+TEST(Simulator, RunUntilCancelledEdgeMatches) {
+  // The historical run_until() edge: a cancelled event at <= `until` lets
+  // fire_next skip to a live event *beyond* `until`. It is part of the
+  // golden event order, so it stays pinned.
+  Simulator sim;
+  std::vector<int> order;
+  auto handle = sim.schedule(SimDuration::nanos(100), [&order] { order.push_back(1); });
+  sim.schedule(SimDuration::nanos(500), [&order] { order.push_back(2); });
+  handle.cancel();
+  const auto fired = sim.run_until(SimTime::from_nanos(200));
+  EXPECT_EQ(fired, 1u) << "cancelled front event pulls in the next live one";
+  ASSERT_EQ(order.size(), 1u);
+  EXPECT_EQ(order[0], 2);
+  EXPECT_EQ(sim.now().count_nanos(), 500);
 }
 
 TEST(Simulator, SecondThreadUseThrows) {
