@@ -6,7 +6,8 @@
 namespace ecnprobe::http {
 
 // One accepted connection: parse the request, emit the configured response,
-// close. Owns itself via the shared_ptr captured in the handlers.
+// close. Owns itself via the shared_ptr captured in the receive handler,
+// which the connection releases when it finishes.
 struct HttpServerService::Session : std::enable_shared_from_this<Session> {
   std::shared_ptr<tcp::TcpConnection> conn;
   wire::HttpParser parser{wire::HttpParser::Kind::Request};
@@ -20,9 +21,6 @@ struct HttpServerService::Session : std::enable_shared_from_this<Session> {
     auto self = shared_from_this();
     conn->set_receive_handler([self](std::span<const std::uint8_t> bytes) {
       self->on_bytes(bytes);
-    });
-    conn->set_close_handler([self](tcp::CloseReason) {
-      // Keeps the session alive until teardown completes; nothing to do.
     });
   }
 

@@ -153,7 +153,6 @@ void Campaign::start_trace() {
   try {
     if (before_trace_) before_trace_(planned.vantage, planned.batch, index);
     Vantage* vantage = vantages_.at(planned.vantage);
-    vantage->capture().clear();
     runner_ = std::make_unique<TraceRunner>(*vantage, servers_, options_);
     runner_->run(planned.batch, index,
                  [this, vantage_name = planned.vantage, batch = planned.batch,

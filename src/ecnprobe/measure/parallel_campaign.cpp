@@ -93,7 +93,6 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
       throw std::invalid_argument("ParallelCampaign: unknown vantage " + planned.vantage);
     }
     Vantage* vantage = it->second;
-    vantage->capture().clear();
     ProbeOptions probe = options_.probe;
     if (probe.sched.breaker.enabled) {
       // Group resolution must consult this worker's own world clone; a

@@ -8,11 +8,7 @@ Vantage::Vantage(std::string name, netsim::Host& host, ntp::SimClock clock,
       host_(host),
       ntp_client_(host, clock),
       tcp_stack_(host, tcp_config),
-      http_client_(tcp_stack_) {
-  host_.add_capture(&capture_);
-}
-
-Vantage::~Vantage() { host_.remove_capture(&capture_); }
+      http_client_(tcp_stack_) {}
 
 traceroute::Tracerouter& Vantage::tracer() {
   if (!tracer_) tracer_ = std::make_unique<traceroute::Tracerouter>(host_);

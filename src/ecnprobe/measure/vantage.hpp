@@ -1,14 +1,14 @@
 // A measurement vantage point: one Host bundled with the client machinery
 // the paper's measurement application needs -- an NTP prober, a TCP stack
-// with an HTTP client, a traceroute engine, and a packet capture standing in
-// for the parallel tcpdump session.
+// with an HTTP client, and a traceroute engine. The parallel tcpdump
+// session is a netsim::PacketCapture attached to host() by whoever reads
+// it (Host::add_capture).
 #pragma once
 
 #include <memory>
 #include <string>
 
 #include "ecnprobe/http/http_service.hpp"
-#include "ecnprobe/netsim/capture.hpp"
 #include "ecnprobe/netsim/host.hpp"
 #include "ecnprobe/ntp/ntp.hpp"
 #include "ecnprobe/tcp/tcp.hpp"
@@ -20,7 +20,6 @@ class Vantage {
 public:
   Vantage(std::string name, netsim::Host& host, ntp::SimClock clock,
           tcp::TcpConfig tcp_config = {});
-  ~Vantage();
   Vantage(const Vantage&) = delete;
   Vantage& operator=(const Vantage&) = delete;
 
@@ -31,14 +30,9 @@ public:
   http::HttpGetClient& http() { return http_client_; }
   traceroute::Tracerouter& tracer();
 
-  /// The always-on capture (tcpdump analogue); cleared between traces by
-  /// the campaign runner.
-  netsim::PacketCapture& capture() { return capture_; }
-
 private:
   std::string name_;
   netsim::Host& host_;
-  netsim::PacketCapture capture_;
   ntp::NtpClient ntp_client_;
   tcp::TcpStack tcp_stack_;
   http::HttpGetClient http_client_;

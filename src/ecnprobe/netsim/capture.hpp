@@ -32,7 +32,6 @@ public:
   void record(SimTime time, Direction dir, const wire::Datagram& dgram);
 
   const std::vector<CapturedPacket>& packets() const { return packets_; }
-  void clear() { packets_.clear(); }
 
   /// Convenience filters mirroring common tcpdump expressions.
   static Filter proto_filter(wire::IpProto proto);

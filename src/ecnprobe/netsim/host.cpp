@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "ecnprobe/util/log.hpp"
 #include "ecnprobe/util/strings.hpp"
@@ -24,6 +25,20 @@ void UdpSocket::close() {
   if (host_ != nullptr) {
     host_->release_port(port_);
     host_ = nullptr;
+  }
+  // A closed socket never calls its handler again. Releasing it breaks the
+  // cycle when the handler captures the socket's owner, who may hold the
+  // last reference to this socket: so the handler is destroyed last.
+  const auto released = std::exchange(handler_, nullptr);
+}
+
+Host::~Host() {
+  // A socket may outlive its host while someone still holds it: detach it
+  // first, then release its handler (which may own other sockets).
+  std::vector<UdpSocket::ReceiveHandler> handlers;
+  for (auto& [port, socket] : udp_sockets_) {
+    socket->host_ = nullptr;
+    handlers.push_back(std::exchange(socket->handler_, nullptr));
   }
 }
 
@@ -121,7 +136,8 @@ void Host::deliver_udp(const wire::Datagram& dgram) {
     return;
   }
   ++stats_.udp_delivered;
-  if (!it->second->handler_) return;
+  UdpSocket* socket = it->second;
+  if (!socket->handler_) return;
   UdpDelivery delivery;
   delivery.src = dgram.ip.src;
   delivery.src_port = segment->header.src_port;
@@ -130,7 +146,13 @@ void Host::deliver_udp(const wire::Datagram& dgram) {
   delivery.payload.assign(segment->payload.begin(), segment->payload.end());
   delivery.ecn = dgram.ip.ecn;
   delivery.flight = dgram.flight;
-  it->second->handler_(delivery);
+  // The handler may close its own socket, which releases the handler: run
+  // it from a local while the socket is kept alive, and hand it back only
+  // if the socket is still open and no new handler was installed meanwhile.
+  const auto keep_alive = socket->shared_from_this();
+  auto handler = std::exchange(socket->handler_, nullptr);
+  handler(delivery);
+  if (socket->host_ != nullptr && !socket->handler_) socket->handler_ = std::move(handler);
 }
 
 void Host::release_port(std::uint16_t port) { udp_sockets_.erase(port); }

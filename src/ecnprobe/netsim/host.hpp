@@ -34,8 +34,8 @@ struct UdpDelivery {
 class Host;
 
 /// A bound UDP socket. Obtained from Host::open_udp; closing (or dropping
-/// the last shared_ptr) releases the port.
-class UdpSocket {
+/// the last shared_ptr) releases the port and the receive handler.
+class UdpSocket : public std::enable_shared_from_this<UdpSocket> {
 public:
   using ReceiveHandler = std::function<void(const UdpDelivery&)>;
 
@@ -72,12 +72,14 @@ public:
 
   Host(std::string name, Params params, util::Rng rng)
       : Node(std::move(name)), params_(params), rng_(rng) {}
+  ~Host() override;
 
   // -- sockets ------------------------------------------------------------
 
   /// Binds a UDP socket; port 0 picks an ephemeral port. Throws if the port
   /// is taken.
   std::shared_ptr<UdpSocket> open_udp(std::uint16_t port = 0);
+  std::size_t udp_socket_count() const { return udp_sockets_.size(); }
 
   // -- raw datapath (used by the TCP stack and traceroute) -----------------
 

@@ -80,36 +80,24 @@ void LedgerSnapshot::merge(const LedgerSnapshot& other) {
 
 // -- DropLedger --------------------------------------------------------------
 
-void DropLedger::begin_trace(int index) {
-  trace_ = index;
-  if (telemetry_ != nullptr && telemetry_->armed()) {
-    // Sketched mode: the previous trace's records have been folded into
-    // the campaign aggregate already; dropping them here keeps a worker's
-    // ledger bounded by one trace instead of the whole campaign.
-    drops_.clear();
-    rewrites_.clear();
-  }
-}
-
-void DropLedger::record_drop(Layer layer, DropCause cause, std::string node) {
+void DropLedger::record_drop(Layer layer, DropCause cause, std::string_view node) {
   if (timeseries_ != nullptr && timeseries_->armed()) {
     // Series count every drop regardless of the telemetry sampling
     // decision; the window index is sim-time, so this stays deterministic.
     timeseries_->on_drop(to_string(layer), to_string(cause));
   }
+  const auto li = static_cast<std::size_t>(layer);
+  const auto ci = static_cast<std::size_t>(cause);
   if (telemetry_ != nullptr && telemetry_->armed()) {
     telemetry_->on_drop(to_string(layer), to_string(cause), node);
     // Unsampled traces live only in the sketches (plus a reservoir
-    // exemplar kept by the recorder); sampled traces keep the exact row
-    // for autopsies but skip the registry mirror -- in sketched mode the
-    // estimates replace `ecn_drops_total`, and mirroring a biased subset
-    // would misread as a truth counter.
-    if (!telemetry_->trace_sampled_exact()) return;
-    drops_.push_back(DropRecord{trace_, layer, cause, std::move(node)});
+    // exemplar kept by the recorder); sampled traces are counted exactly
+    // but skip the registry mirror -- in sketched mode the estimates
+    // replace `ecn_drops_total`, and mirroring a biased subset would
+    // misread as a truth counter.
+    if (telemetry_->trace_sampled_exact()) ++counts_.drops[li][ci];
     return;
   }
-  const auto li = static_cast<std::size_t>(layer);
-  const auto ci = static_cast<std::size_t>(cause);
   Counter*& mirror = drop_counters_[li][ci];
   if (mirror == nullptr) {
     mirror = registry_->counter(
@@ -118,21 +106,20 @@ void DropLedger::record_drop(Layer layer, DropCause cause, std::string node) {
         "packets discarded, by layer and attributed cause");
   }
   mirror->inc();
-  drops_.push_back(DropRecord{trace_, layer, cause, std::move(node)});
+  ++counts_.drops[li][ci];
 }
 
-void DropLedger::record_rewrite(Layer layer, RewriteCause cause, std::string node) {
+void DropLedger::record_rewrite(Layer layer, RewriteCause cause, std::string_view /*node*/) {
   if (timeseries_ != nullptr && timeseries_->armed()) {
     timeseries_->on_rewrite(to_string(layer), to_string(cause));
   }
-  if (telemetry_ != nullptr && telemetry_->armed()) {
-    telemetry_->on_rewrite(to_string(layer), to_string(cause));
-    if (!telemetry_->trace_sampled_exact()) return;
-    rewrites_.push_back(RewriteRecord{trace_, layer, cause, std::move(node)});
-    return;
-  }
   const auto li = static_cast<std::size_t>(layer);
   const auto ci = static_cast<std::size_t>(cause);
+  if (telemetry_ != nullptr && telemetry_->armed()) {
+    telemetry_->on_rewrite(to_string(layer), to_string(cause));
+    if (telemetry_->trace_sampled_exact()) ++counts_.rewrites[li][ci];
+    return;
+  }
   Counter*& mirror = rewrite_counters_[li][ci];
   if (mirror == nullptr) {
     mirror = registry_->counter(
@@ -141,26 +128,25 @@ void DropLedger::record_rewrite(Layer layer, RewriteCause cause, std::string nod
         "in-flight ECN codepoint rewrites, by layer and cause");
   }
   mirror->inc();
-  rewrites_.push_back(RewriteRecord{trace_, layer, cause, std::move(node)});
+  ++counts_.rewrites[li][ci];
 }
 
-LedgerSnapshot DropLedger::aggregate(std::size_t drop_from, std::size_t rewrite_from) const {
+LedgerSnapshot DropLedger::delta_since(const LedgerCounts& mark) const {
   LedgerSnapshot out;
-  for (std::size_t i = drop_from; i < drops_.size(); ++i) {
-    const auto& r = drops_[i];
-    out.drops[{std::string(to_string(r.layer)), std::string(to_string(r.cause))}] += 1;
-  }
-  for (std::size_t i = rewrite_from; i < rewrites_.size(); ++i) {
-    const auto& r = rewrites_[i];
-    out.rewrites[{std::string(to_string(r.layer)), std::string(to_string(r.cause))}] += 1;
+  for (std::size_t li = 0; li < kLayerCount; ++li) {
+    const auto layer = std::string(to_string(static_cast<Layer>(li)));
+    for (std::size_t ci = 0; ci < kDropCauseCount; ++ci) {
+      const std::uint64_t n = counts_.drops[li][ci] - mark.drops[li][ci];
+      if (n > 0) out.drops[{layer, std::string(to_string(static_cast<DropCause>(ci)))}] = n;
+    }
+    for (std::size_t ci = 0; ci < kRewriteCauseCount; ++ci) {
+      const std::uint64_t n = counts_.rewrites[li][ci] - mark.rewrites[li][ci];
+      if (n > 0) {
+        out.rewrites[{layer, std::string(to_string(static_cast<RewriteCause>(ci)))}] = n;
+      }
+    }
   }
   return out;
-}
-
-void DropLedger::clear() {
-  trace_ = -1;
-  drops_.clear();
-  rewrites_.clear();
 }
 
 Observability& Observability::process() {

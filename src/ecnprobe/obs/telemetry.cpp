@@ -182,7 +182,7 @@ void TelemetryRecorder::begin_trace(int trace) {
 }
 
 void TelemetryRecorder::on_drop(std::string_view layer, std::string_view cause,
-                                const std::string& node) {
+                                std::string_view node) {
   if (!armed_) return;
   std::string key;
   key.reserve(8 + layer.size() + node.size() + cause.size());
@@ -205,7 +205,7 @@ void TelemetryRecorder::on_drop(std::string_view layer, std::string_view cause,
   const auto cap = static_cast<std::size_t>(config_.reservoir);
   if (cap == 0) return;
   TelemetryExemplar exemplar{trace_, std::string(layer), std::string(cause),
-                             node};
+                             std::string(node)};
   if (current_.exemplars.size() < cap) {
     current_.exemplars.push_back(std::move(exemplar));
     return;

@@ -1,6 +1,6 @@
 // Budgeted telemetry: the campaign-selectable fidelity knob between the
-// exact observability pipeline (every drop a ledger record, every probe a
-// flight) and a sketched one whose memory is O(servers), not
+// exact observability pipeline (every drop an exact ledger count, every
+// probe a flight) and a sketched one whose memory is O(servers), not
 // O(servers x traces).
 //
 // Two-level design, mirroring the metrics/ledger delta machinery:
@@ -21,7 +21,7 @@
 //    and --workers N campaigns produce bit-identical aggregates.
 //
 // Head-based trace sampling: every sample_every-th trace keeps exact
-// records (ledger rows, flight events); the rest fold into the sketches
+// records (ledger counts, flight events); the rest fold into the sketches
 // only. Exact mode (the default) leaves the recorder disarmed -- one
 // bool test on the hot path, zero deltas, byte-identical output to a
 // build without this layer.
@@ -77,7 +77,7 @@ struct TelemetryConfig {
 
 // One drop record kept verbatim from a folded (not exactly-sampled)
 // trace, chosen by the per-trace reservoir: enough to show a concrete
-// victim in reports whose ledger rows were sketched away.
+// victim in reports whose exact ledger counts were sketched away.
 struct TelemetryExemplar {
   int trace = -1;
   std::string layer;
@@ -113,7 +113,7 @@ class TelemetryRecorder {
  public:
   // Maps a ledger node name (usually an IPv4 address string) to an AS
   // label ("AS3320"); empty result skips the per-AS key.
-  using AsLabeler = std::function<std::string(const std::string& node)>;
+  using AsLabeler = std::function<std::string(std::string_view node)>;
 
   void arm(const TelemetryConfig& config);
   void disarm();
@@ -129,8 +129,7 @@ class TelemetryRecorder {
   // True when the current trace keeps exact ledger/flight records.
   bool trace_sampled_exact() const { return !armed_ || sampled_; }
 
-  void on_drop(std::string_view layer, std::string_view cause,
-               const std::string& node);
+  void on_drop(std::string_view layer, std::string_view cause, std::string_view node);
   void on_rewrite(std::string_view layer, std::string_view cause);
   void observe_rtt(util::SimDuration rtt);
 

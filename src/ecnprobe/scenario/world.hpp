@@ -94,7 +94,7 @@ struct WorldParams {
   std::size_t flight_recorder_capacity = 0;
 
   // -- telemetry fidelity ----------------------------------------------------
-  /// Exact (default) keeps the per-packet ledger/recorder pipeline
+  /// Exact (default) keeps the exact ledger counts and recorder pipeline
   /// byte-identical to always. Sketched folds most traces into
   /// count-min/log-histogram sketches with declared error bounds, keeping
   /// exact records only for every sample_every-th trace -- memory becomes
@@ -318,8 +318,7 @@ private:
   wire::Ipv4Address resolver_address_;
 
   obs::MetricsSnapshot obs_baseline_;
-  std::size_t obs_drop_mark_ = 0;
-  std::size_t obs_rewrite_mark_ = 0;
+  obs::LedgerCounts obs_ledger_mark_;
   std::size_t obs_flight_mark_ = 0;
   obs::ObsSnapshot campaign_obs_;
   std::vector<obs::FlightEvent> campaign_flights_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "ecnprobe/obs/metrics.hpp"
 #include "ecnprobe/util/log.hpp"
@@ -507,7 +508,13 @@ void TcpConnection::deliver_in_order() {
     reorder_.erase(it);
     rcv_nxt_ += static_cast<std::uint32_t>(data.size());
     stats_.bytes_delivered += data.size();
-    if (receive_) receive_(data);
+    if (receive_) {
+      // The handler may finish this connection, which releases it: run it
+      // from a local and hand it back unless it was released or replaced.
+      auto handler = std::exchange(receive_, nullptr);
+      handler(data);
+      if (!finished_ && !receive_) receive_ = std::move(handler);
+    }
     if (finished_) return;  // handler may have aborted
   }
   // A FIN that arrived ahead of missing data becomes deliverable once the
@@ -573,7 +580,18 @@ void TcpConnection::finish(CloseReason reason) {
     handler(false);
   }
   stack_.release_flow(TcpStack::FlowKey{remote_addr_.value(), remote_port_, local_port_});
-  if (on_close_) on_close_(reason);
+  // A finished connection never calls its handlers again. Releasing them
+  // breaks the cycle when a handler captures the connection's owner.
+  receive_ = nullptr;
+  if (auto on_close = std::exchange(on_close_, nullptr)) on_close(reason);
+}
+
+void TcpConnection::detach() {
+  finished_ = true;  // pending timers now fire into no-ops
+  state_ = TcpState::Closed;
+  on_connect_ = nullptr;
+  receive_ = nullptr;
+  on_close_ = nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -586,7 +604,13 @@ TcpStack::TcpStack(netsim::Host& host, TcpConfig config)
                              [this](const wire::Datagram& d) { on_datagram(d); });
 }
 
-TcpStack::~TcpStack() { host_.clear_protocol_handler(wire::IpProto::Tcp); }
+TcpStack::~TcpStack() {
+  host_.clear_protocol_handler(wire::IpProto::Tcp);
+  // A connection may outlive its stack while someone still holds it: it
+  // must never call back into the stack, and its handlers (which may
+  // capture the connection itself) are released.
+  for (auto& [key, conn] : flows_) conn->detach();
+}
 
 std::shared_ptr<TcpConnection> TcpStack::connect(wire::Ipv4Address dst,
                                                  std::uint16_t dst_port, bool want_ecn,

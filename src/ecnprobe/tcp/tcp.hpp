@@ -140,6 +140,8 @@ private:
   void on_peer_fin(std::uint32_t fin_seq);
   void enter_time_wait();
   void finish(CloseReason reason);
+  /// Stack teardown: finished without callbacks, handlers released.
+  void detach();
 
   TcpStack& stack_;
   TcpConfig config_;
@@ -214,6 +216,8 @@ public:
 
   netsim::Host& host() { return host_; }
   const TcpConfig& config() const { return config_; }
+  /// Live connections in the demux table (TIME_WAIT included).
+  std::size_t flow_count() const { return flows_.size(); }
 
   /// Epoch boundary: tears down any surviving flows (normally just
   /// TIME_WAIT remnants -- campaign epochs begin at simulator quiescence)

@@ -23,9 +23,10 @@ scenario::WorldParams tiny() {
 }
 
 TEST(Vantage, CaptureRecordsProbeTrafficBothWays) {
+  netsim::PacketCapture capture;  // outlives the world it taps
   scenario::World world(tiny());
   auto& vantage = world.vantage("Perkins home");
-  vantage.capture().clear();
+  vantage.host().add_capture(&capture);
   bool done = false;
   probe_server(vantage, world.servers()[0].address, ProbeOptions{},
                [&](const ServerResult&) { done = true; });
@@ -33,7 +34,7 @@ TEST(Vantage, CaptureRecordsProbeTrafficBothWays) {
   ASSERT_TRUE(done);
   int tx = 0;
   int rx = 0;
-  for (const auto& packet : vantage.capture().packets()) {
+  for (const auto& packet : capture.packets()) {
     (packet.dir == netsim::Direction::Tx ? tx : rx)++;
   }
   // Four probes' worth of traffic: NTP x2, HTTP x2 (handshake + data).
@@ -42,16 +43,18 @@ TEST(Vantage, CaptureRecordsProbeTrafficBothWays) {
 }
 
 TEST(Vantage, CaptureExportsAsPcap) {
+  netsim::PacketCapture capture;
   scenario::World world(tiny());
   auto& vantage = world.vantage("EC2 Ire");
+  vantage.host().add_capture(&capture);
   bool done = false;
   probe_server(vantage, world.servers()[1].address, ProbeOptions{},
                [&](const ServerResult&) { done = true; });
   world.sim().run();
   ASSERT_TRUE(done);
   std::ostringstream os(std::ios::binary);
-  const auto written = netsim::write_pcap(os, vantage.capture());
-  EXPECT_EQ(written, vantage.capture().packets().size());
+  const auto written = netsim::write_pcap(os, capture);
+  EXPECT_EQ(written, capture.packets().size());
   EXPECT_GT(written, 0u);
 }
 
@@ -120,9 +123,10 @@ TEST(CampaignChurn, OfflineDrawsVaryPerTrace) {
 TEST(ProbeOrder, UdpTestsPrecedeTcpTests) {
   // The paper's sequence matters (the greylist mechanism depends on it):
   // verify via capture timestamps that NTP traffic precedes HTTP traffic.
+  netsim::PacketCapture capture;
   scenario::World world(tiny());
   auto& vantage = world.vantage("UGla wless");
-  vantage.capture().clear();
+  vantage.host().add_capture(&capture);
   bool done = false;
   probe_server(vantage, world.servers()[2].address, ProbeOptions{},
                [&](const ServerResult&) { done = true; });
@@ -130,7 +134,7 @@ TEST(ProbeOrder, UdpTestsPrecedeTcpTests) {
   ASSERT_TRUE(done);
   std::optional<util::SimTime> first_udp;
   std::optional<util::SimTime> first_tcp;
-  for (const auto& packet : vantage.capture().packets()) {
+  for (const auto& packet : capture.packets()) {
     if (packet.dgram.ip.protocol == wire::IpProto::Udp && !first_udp) {
       first_udp = packet.time;
     }

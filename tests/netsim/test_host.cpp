@@ -95,6 +95,84 @@ TEST(Host, ClosedSocketStopsReceiving) {
   EXPECT_EQ(count, 1);
 }
 
+TEST(Host, ClosingASocketReleasesItsHandler) {
+  Chain chain(1);
+  auto sentinel = std::make_shared<int>(0);
+  auto sock = chain.host_b->open_udp(700);
+  sock->set_receive_handler([sentinel](const UdpDelivery&) {});
+  EXPECT_EQ(sentinel.use_count(), 2);
+  sock->close();
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_EQ(chain.host_b->udp_socket_count(), 0u);
+}
+
+TEST(Host, CloseMayDestroyTheSocketsLastOwner) {
+  // The handler holds the only reference to the socket's owner, and the
+  // owner holds the only reference to the socket: close() ends both.
+  Chain chain(1);
+  struct Owner {
+    std::shared_ptr<UdpSocket> socket;
+  };
+  auto owner = std::make_shared<Owner>();
+  owner->socket = chain.host_b->open_udp(700);
+  std::weak_ptr<UdpSocket> weak = owner->socket;
+  UdpSocket* raw = owner->socket.get();
+  raw->set_receive_handler([owner](const UdpDelivery&) {});
+  owner.reset();
+  raw->close();
+  EXPECT_TRUE(weak.expired());
+  EXPECT_EQ(chain.host_b->udp_socket_count(), 0u);
+}
+
+TEST(Host, HandlerMayCloseItsOwnSocket) {
+  // The handler owns the socket that runs it: closing from inside the call
+  // releases the handler, which must stay alive until the call returns.
+  Chain chain(1);
+  auto sentinel = std::make_shared<int>(0);
+  auto sock = chain.host_b->open_udp(700);
+  std::weak_ptr<UdpSocket> weak = sock;
+  int count = 0;
+  sock->set_receive_handler([sock, sentinel, &count](const UdpDelivery&) {
+    ++count;
+    sock->close();
+    EXPECT_EQ(*sentinel, 0);  // captures still alive inside the call
+  });
+  sock.reset();
+  auto client = chain.host_a->open_udp();
+  client->send(chain.host_b->address(), 700, {}, wire::Ecn::NotEct);
+  client->send(chain.host_b->address(), 700, {}, wire::Ecn::NotEct);
+  chain.sim.run();
+  EXPECT_EQ(count, 1);
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_TRUE(weak.expired());
+}
+
+TEST(Host, HandlerKeepsRunningOnAnOpenSocket) {
+  Chain chain(1);
+  auto sock = chain.host_b->open_udp(700);
+  int count = 0;
+  sock->set_receive_handler([&count](const UdpDelivery&) { ++count; });
+  auto client = chain.host_a->open_udp();
+  for (int i = 0; i < 3; ++i) client->send(chain.host_b->address(), 700, {}, wire::Ecn::NotEct);
+  chain.sim.run();
+  EXPECT_EQ(count, 3);
+}
+
+TEST(Host, TeardownDetachesOpenSockets) {
+  auto sentinel = std::make_shared<int>(0);
+  std::shared_ptr<UdpSocket> sock;
+  {
+    Chain chain(1);
+    sock = chain.host_b->open_udp(700);
+    sock->set_receive_handler([sock, sentinel](const UdpDelivery&) {});
+  }
+  // The host is gone: its handler is released and the socket is inert.
+  EXPECT_EQ(sentinel.use_count(), 1);
+  sock->send(wire::Ipv4Address(10, 0, 0, 1), 700, {}, wire::Ecn::NotEct);
+  sock->close();
+  EXPECT_EQ(sock.use_count(), 1);
+}
+
 TEST(Host, BadUdpChecksumDropped) {
   // Craft a datagram with a deliberately corrupted UDP checksum and inject
   // it directly.

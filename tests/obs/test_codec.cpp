@@ -26,7 +26,7 @@ ObsSnapshot sample_snapshot() {
 
   ObsSnapshot snapshot;
   snapshot.metrics = registry.snapshot();
-  snapshot.ledger = obs.ledger.aggregate();
+  snapshot.ledger = obs.ledger.delta_since();
   return snapshot;
 }
 

@@ -1,7 +1,7 @@
 // Drop-attribution ledger tests on crafted mini-nets: each middlebox or
-// failure mode must leave exactly one ledger record with the right layer,
-// cause, and hop -- the property that lets the loss-autopsy table explain
-// every failed probe.
+// failure mode must count exactly one ledger drop or rewrite with the right
+// layer and cause, and the flight recorder must name the hop -- the
+// properties that let the loss-autopsy table explain every failed probe.
 #include "ecnprobe/obs/ledger.hpp"
 
 #include <gtest/gtest.h>
@@ -16,17 +16,35 @@ namespace {
 using netsim::testutil::Chain;
 
 // A chain with a test-private Observability, so records from other tests
-// (or the process-wide default) can't leak in.
+// (or the process-wide default) can't leak in. Every send is a recorded
+// flight, so drops and rewrites on the path leave events naming the hop.
 struct ObservedChain : Chain {
   Observability obs;
   explicit ObservedChain(int n_routers) : Chain(n_routers) {
     net.set_observability(&obs);
+    obs.recorder.arm(256);
   }
   void send_udp(wire::Ecn ecn, std::uint16_t port = 123,
                 std::uint8_t ttl = wire::Ipv4Header::kDefaultTtl) {
     auto socket = host_a->open_udp();
+    obs.recorder.begin_flight(/*retransmit=*/false);
     socket->send(host_b->address(), port, {}, ecn, ttl);
     sim.run();
+  }
+  std::uint64_t drops(Layer layer, DropCause cause) const {
+    return obs.ledger.counts()
+        .drops[static_cast<std::size_t>(layer)][static_cast<std::size_t>(cause)];
+  }
+  std::uint64_t rewrites(Layer layer, RewriteCause cause) const {
+    return obs.ledger.counts()
+        .rewrites[static_cast<std::size_t>(layer)][static_cast<std::size_t>(cause)];
+  }
+  std::vector<FlightEvent> events(SpanEvent type) const {
+    std::vector<FlightEvent> out;
+    for (auto& event : obs.recorder.collect_since(0)) {
+      if (event.type == type) out.push_back(std::move(event));
+    }
+    return out;
   }
 };
 
@@ -40,12 +58,15 @@ TEST(DropAttribution, GreylistDropIsAttributedToPolicyLayer) {
   auto receiver = chain.host_b->open_udp(123);
   chain.send_udp(wire::Ecn::NotEct);
 
-  ASSERT_EQ(chain.obs.ledger.drops().size(), 1u);
-  const auto& record = chain.obs.ledger.drops()[0];
-  EXPECT_EQ(record.layer, Layer::Policy);
-  EXPECT_EQ(record.cause, DropCause::Greylist);
-  EXPECT_EQ(record.node, "r1");
-  EXPECT_TRUE(chain.obs.ledger.rewrites().empty());
+  const auto ledger = chain.obs.ledger.delta_since();
+  EXPECT_EQ(ledger.total_drops(), 1u);
+  EXPECT_EQ(chain.drops(Layer::Policy, DropCause::Greylist), 1u);
+  EXPECT_EQ(ledger.total_rewrites(), 0u);
+  const auto dropped = chain.events(SpanEvent::PolicyDrop);
+  ASSERT_EQ(dropped.size(), 1u);
+  EXPECT_EQ(dropped[0].layer, Layer::Policy);
+  EXPECT_EQ(dropped[0].node, "r1");
+  EXPECT_EQ(dropped[0].detail, "greylist");
 }
 
 TEST(DropAttribution, CongestionCeMarkIsOneRewriteRecord) {
@@ -61,12 +82,15 @@ TEST(DropAttribution, CongestionCeMarkIsOneRewriteRecord) {
   chain.send_udp(wire::Ecn::Ect0);
 
   EXPECT_EQ(seen, wire::Ecn::Ce);
-  EXPECT_TRUE(chain.obs.ledger.drops().empty());
-  ASSERT_EQ(chain.obs.ledger.rewrites().size(), 1u);
-  const auto& record = chain.obs.ledger.rewrites()[0];
-  EXPECT_EQ(record.layer, Layer::Policy);
-  EXPECT_EQ(record.cause, RewriteCause::CeMarked);
-  EXPECT_EQ(record.node, "r0");
+  const auto ledger = chain.obs.ledger.delta_since();
+  EXPECT_EQ(ledger.total_drops(), 0u);
+  EXPECT_EQ(ledger.total_rewrites(), 1u);
+  EXPECT_EQ(chain.rewrites(Layer::Policy, RewriteCause::CeMarked), 1u);
+  EXPECT_TRUE(chain.events(SpanEvent::PolicyDrop).empty());
+  const auto rewritten = chain.events(SpanEvent::EcnRewritten);
+  ASSERT_EQ(rewritten.size(), 1u);
+  EXPECT_EQ(rewritten[0].layer, Layer::Policy);
+  EXPECT_EQ(rewritten[0].node, "r0");
 }
 
 TEST(DropAttribution, BleachingHopIsOneRewriteRecord) {
@@ -80,10 +104,11 @@ TEST(DropAttribution, BleachingHopIsOneRewriteRecord) {
   chain.send_udp(wire::Ecn::Ect0);
 
   EXPECT_EQ(seen, wire::Ecn::NotEct);
-  ASSERT_EQ(chain.obs.ledger.rewrites().size(), 1u);
-  const auto& record = chain.obs.ledger.rewrites()[0];
-  EXPECT_EQ(record.cause, RewriteCause::Bleached);
-  EXPECT_EQ(record.node, "r1");
+  EXPECT_EQ(chain.obs.ledger.delta_since().total_rewrites(), 1u);
+  EXPECT_EQ(chain.rewrites(Layer::Policy, RewriteCause::Bleached), 1u);
+  const auto rewritten = chain.events(SpanEvent::EcnRewritten);
+  ASSERT_EQ(rewritten.size(), 1u);
+  EXPECT_EQ(rewritten[0].node, "r1");
 }
 
 TEST(DropAttribution, TtlExpiryIsAttributedToTheExpiringRouter) {
@@ -91,11 +116,12 @@ TEST(DropAttribution, TtlExpiryIsAttributedToTheExpiringRouter) {
   auto receiver = chain.host_b->open_udp(123);
   chain.send_udp(wire::Ecn::NotEct, 123, /*ttl=*/2);
 
-  ASSERT_EQ(chain.obs.ledger.drops().size(), 1u);
-  const auto& record = chain.obs.ledger.drops()[0];
-  EXPECT_EQ(record.layer, Layer::Router);
-  EXPECT_EQ(record.cause, DropCause::TtlExpired);
-  EXPECT_EQ(record.node, "r1");  // ttl=2 survives r0, expires at r1
+  EXPECT_EQ(chain.obs.ledger.delta_since().total_drops(), 1u);
+  EXPECT_EQ(chain.drops(Layer::Router, DropCause::TtlExpired), 1u);
+  const auto dropped = chain.events(SpanEvent::PolicyDrop);
+  ASSERT_EQ(dropped.size(), 1u);
+  EXPECT_EQ(dropped[0].layer, Layer::Router);
+  EXPECT_EQ(dropped[0].node, "r1");  // ttl=2 survives r0, expires at r1
 }
 
 TEST(DropAttribution, EctUdpFirewallAndTosFilterCausesAreDistinct) {
@@ -104,34 +130,42 @@ TEST(DropAttribution, EctUdpFirewallAndTosFilterCausesAreDistinct) {
                               std::make_shared<netsim::EctUdpDropPolicy>());
   auto receiver = chain.host_b->open_udp(123);
   chain.send_udp(wire::Ecn::Ect0);
-  ASSERT_EQ(chain.obs.ledger.drops().size(), 1u);
-  EXPECT_EQ(chain.obs.ledger.drops()[0].cause, DropCause::EctUdpFilter);
+  EXPECT_EQ(chain.obs.ledger.delta_since().total_drops(), 1u);
+  EXPECT_EQ(chain.drops(Layer::Policy, DropCause::EctUdpFilter), 1u);
 
   ObservedChain tos_chain(2);
   tos_chain.net.add_egress_policy(tos_chain.host_a_id, 0,
                                   std::make_shared<netsim::TosSensitiveDropPolicy>(1.0));
   auto tos_receiver = tos_chain.host_b->open_udp(123);
   tos_chain.send_udp(wire::Ecn::Ect0);
-  ASSERT_EQ(tos_chain.obs.ledger.drops().size(), 1u);
-  EXPECT_EQ(tos_chain.obs.ledger.drops()[0].cause, DropCause::TosFilter);
-  EXPECT_EQ(tos_chain.obs.ledger.drops()[0].node, "hostA");
+  EXPECT_EQ(tos_chain.obs.ledger.delta_since().total_drops(), 1u);
+  EXPECT_EQ(tos_chain.drops(Layer::Policy, DropCause::TosFilter), 1u);
+  const auto dropped = tos_chain.events(SpanEvent::PolicyDrop);
+  ASSERT_EQ(dropped.size(), 1u);
+  EXPECT_EQ(dropped[0].node, "hostA");
 }
 
 TEST(DropAttribution, NoSocketDeliveryIsAHostLayerDrop) {
   ObservedChain chain(1);
   chain.send_udp(wire::Ecn::NotEct, /*port=*/9999);  // nobody listening
-  ASSERT_EQ(chain.obs.ledger.drops().size(), 1u);
-  EXPECT_EQ(chain.obs.ledger.drops()[0].layer, Layer::Host);
-  EXPECT_EQ(chain.obs.ledger.drops()[0].cause, DropCause::NoSocket);
-  EXPECT_EQ(chain.obs.ledger.drops()[0].node, "hostB");
+  EXPECT_EQ(chain.obs.ledger.delta_since().total_drops(), 1u);
+  EXPECT_EQ(chain.drops(Layer::Host, DropCause::NoSocket), 1u);
+  // The flight reached hostB (nothing on the path dropped it), and hostB is
+  // the host that found no socket.
+  EXPECT_TRUE(chain.events(SpanEvent::PolicyDrop).empty());
+  EXPECT_EQ(chain.host_b->stats().udp_no_socket, 1u);
+  EXPECT_EQ(chain.host_a->stats().udp_no_socket, 0u);
 }
 
 TEST(DropAttribution, TraceIndexStampsRecords) {
-  ObservedChain chain(1);
-  chain.obs.ledger.set_trace(7);
-  chain.send_udp(wire::Ecn::NotEct, /*port=*/9999);
-  ASSERT_EQ(chain.obs.ledger.drops().size(), 1u);
-  EXPECT_EQ(chain.obs.ledger.drops()[0].trace, 7);
+  ObservedChain chain(2);
+  chain.obs.recorder.set_trace(7);
+  chain.send_udp(wire::Ecn::NotEct, 123, /*ttl=*/1);  // expires at r0
+  EXPECT_EQ(chain.drops(Layer::Router, DropCause::TtlExpired), 1u);
+  const auto dropped = chain.events(SpanEvent::PolicyDrop);
+  ASSERT_EQ(dropped.size(), 1u);
+  EXPECT_EQ(dropped[0].key.trace, 7);
+  EXPECT_EQ(dropped[0].node, "r0");
 }
 
 TEST(DropAttribution, RecordsMirrorIntoCounterFamilies) {
@@ -157,15 +191,15 @@ TEST(DropAttribution, AggregateSlicesAndAutopsyTotalsReconcile) {
                               std::make_shared<netsim::EctUdpDropPolicy>());
   auto receiver = chain.host_b->open_udp(123);
   chain.send_udp(wire::Ecn::Ect0);   // dropped by the firewall
-  const auto mark = chain.obs.ledger.drops().size();
+  const auto mark = chain.obs.ledger.counts();
   chain.send_udp(wire::Ecn::Ect1);   // dropped again, second slice
   chain.send_udp(wire::Ecn::NotEct, /*port=*/9999);  // host-layer drop
 
-  const auto full = chain.obs.ledger.aggregate();
+  const auto full = chain.obs.ledger.delta_since();
   EXPECT_EQ(full.total_drops(), 3u);
   EXPECT_EQ(full.drops_for_cause("ect-udp-filter"), 2u);
 
-  const auto tail = chain.obs.ledger.aggregate(mark, 0);
+  const auto tail = chain.obs.ledger.delta_since(mark);
   EXPECT_EQ(tail.total_drops(), 2u);
   EXPECT_EQ(tail.drops_for_cause("ect-udp-filter"), 1u);
 

@@ -90,7 +90,7 @@ TEST(TelemetryRecorder, HeadBasedSamplingKeepsEveryNthTrace) {
 TEST(TelemetryRecorder, ComposesCauseHopAndAsKeys) {
   TelemetryRecorder recorder;
   recorder.arm(sketched_config(1, 1));
-  recorder.set_as_labeler([](const std::string& node) {
+  recorder.set_as_labeler([](std::string_view node) {
     return node == "10.0.0.1" ? "AS64496" : std::string();
   });
   recorder.begin_trace(0);

@@ -148,5 +148,102 @@ TEST(Http, SurvivesLossyPath) {
   EXPECT_GE(got, n - 3);  // TCP retransmits conceal the loss (Section 4.3)
 }
 
+// -- lifetime: nothing outlives a finished request --------------------------
+// The completion handler captures a sentinel; once the simulator drains, the
+// client's pending request, its connection and the server's session must all
+// be gone, which leaves the test's own reference as the only one.
+
+TEST_F(HttpFixture, SuccessfulGetReleasesEverything) {
+  auto sentinel = std::make_shared<int>(0);
+  std::optional<HttpGetResult> result;
+  client.get(pair.server_host->address(), true,
+             [&result, sentinel](const HttpGetResult& r) { result = r; });
+  pair.sim.run();
+  ASSERT_TRUE(result);
+  EXPECT_TRUE(result->got_response);
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_EQ(pair.client->flow_count(), 0u);
+  EXPECT_EQ(pair.server->flow_count(), 0u);
+}
+
+TEST(HttpLifetime, RefusedConnectionReleasesEverything) {
+  TcpPair pair(true);
+  HttpGetClient client(*pair.client);  // nobody listens on port 80
+  auto sentinel = std::make_shared<int>(0);
+  std::optional<HttpGetResult> result;
+  client.get(pair.server_host->address(), false,
+             [&result, sentinel](const HttpGetResult& r) { result = r; });
+  pair.sim.run();
+  ASSERT_TRUE(result);
+  EXPECT_FALSE(result->connected);
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_EQ(pair.client->flow_count(), 0u);
+}
+
+TEST(HttpLifetime, DeadlineReleasesEverything) {
+  TcpPair pair(true);
+  pair.server->listen(80, [](std::shared_ptr<tcp::TcpConnection> conn) {
+    conn->set_receive_handler([](std::span<const std::uint8_t>) {});  // never answers
+  });
+  HttpGetClient client(*pair.client);
+  auto sentinel = std::make_shared<int>(0);
+  std::optional<HttpGetResult> result;
+  client.get(pair.server_host->address(), false,
+             [&result, sentinel](const HttpGetResult& r) { result = r; }, wire::kHttpPort,
+             util::SimDuration::seconds(2));
+  pair.sim.run();
+  ASSERT_TRUE(result);
+  EXPECT_TRUE(result->connected);
+  EXPECT_FALSE(result->got_response);
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_EQ(pair.client->flow_count(), 0u);
+  EXPECT_EQ(pair.server->flow_count(), 0u);
+}
+
+TEST(HttpLifetime, MalformedResponseAbortsInsideTheHandler) {
+  // The client aborts its connection from inside the receive handler that
+  // is delivering the bad bytes.
+  TcpPair pair(true);
+  pair.server->listen(80, [](std::shared_ptr<tcp::TcpConnection> conn) {
+    conn->set_receive_handler([conn](std::span<const std::uint8_t>) {
+      conn->send(std::string_view("garbage that is not HTTP\r\n\r\n"));
+    });
+  });
+  HttpGetClient client(*pair.client);
+  auto sentinel = std::make_shared<int>(0);
+  std::optional<HttpGetResult> result;
+  client.get(pair.server_host->address(), false,
+             [&result, sentinel](const HttpGetResult& r) { result = r; });
+  pair.sim.run();
+  ASSERT_TRUE(result);
+  EXPECT_TRUE(result->connected);
+  EXPECT_FALSE(result->got_response);
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_EQ(pair.client->flow_count(), 0u);
+  EXPECT_EQ(pair.server->flow_count(), 0u);
+}
+
+TEST(HttpLifetime, ServerSessionsEndWithTheirConnections) {
+  // Many requests against one service: every session and connection on
+  // both ends is gone once the simulator drains.
+  netsim::LinkParams link;
+  link.loss_rate = 0.1;
+  TcpPair pair(true, link);
+  HttpServerService service(*pair.server, HttpServerService::Config{});
+  HttpGetClient client(*pair.client);
+  auto sentinel = std::make_shared<int>(0);
+  int done = 0;
+  for (int i = 0; i < 10; ++i) {
+    client.get(pair.server_host->address(), i % 2 == 0,
+               [&done, sentinel](const HttpGetResult&) { ++done; });
+  }
+  pair.sim.run();
+  EXPECT_EQ(done, 10);
+  EXPECT_GT(service.stats().requests_served, 0u);
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_EQ(pair.client->flow_count(), 0u);
+  EXPECT_EQ(pair.server->flow_count(), 0u);
+}
+
 }  // namespace
 }  // namespace ecnprobe::http

@@ -140,5 +140,52 @@ TEST(NtpConcurrent, ParallelQueriesToDistinctServersDoNotCross) {
   EXPECT_EQ(completed, 5);
 }
 
+// -- lifetime: a finished query holds nothing -------------------------------
+// The completion handler captures a sentinel; once the simulator drains, the
+// pending query and its socket must be gone.
+
+TEST_F(NtpFixture, AnsweredQueryReleasesEverything) {
+  // Success closes the socket from inside the socket's own handler.
+  auto sentinel = std::make_shared<int>(0);
+  std::optional<NtpQueryResult> result;
+  client.query(chain.host_b->address(), NtpQueryOptions{},
+               [&result, sentinel](const NtpQueryResult& r) { result = r; });
+  EXPECT_EQ(chain.host_a->udp_socket_count(), 1u);
+  chain.sim.run();
+  ASSERT_TRUE(result);
+  EXPECT_TRUE(result->success);
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_EQ(chain.host_a->udp_socket_count(), 0u);
+}
+
+TEST_F(NtpFixture, TimedOutQueryReleasesEverything) {
+  server.set_online(false);
+  auto sentinel = std::make_shared<int>(0);
+  std::optional<NtpQueryResult> result;
+  client.query(chain.host_b->address(), NtpQueryOptions{},
+               [&result, sentinel](const NtpQueryResult& r) { result = r; });
+  chain.sim.run();
+  ASSERT_TRUE(result);
+  EXPECT_FALSE(result->success);
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_EQ(chain.host_a->udp_socket_count(), 0u);
+}
+
+TEST_F(NtpFixture, HedgedQueryReleasesEverything) {
+  // A hedge leaves a second response in flight after the first one wins;
+  // it must find the socket closed, not a leaked query.
+  NtpQueryOptions options;
+  options.hedge_delay = util::SimDuration::millis(1);
+  auto sentinel = std::make_shared<int>(0);
+  std::optional<NtpQueryResult> result;
+  client.query(chain.host_b->address(), options,
+               [&result, sentinel](const NtpQueryResult& r) { result = r; });
+  chain.sim.run();
+  ASSERT_TRUE(result);
+  EXPECT_TRUE(result->success);
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_EQ(chain.host_a->udp_socket_count(), 0u);
+}
+
 }  // namespace
 }  // namespace ecnprobe::ntp

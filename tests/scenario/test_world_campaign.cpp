@@ -168,5 +168,23 @@ TEST_F(CampaignTest, CsvRoundTripOfRealCampaign) {
   EXPECT_DOUBLE_EQ(original.pct_tcp_negotiating_ecn, reloaded.pct_tcp_negotiating_ecn);
 }
 
+TEST(WorldLifetime, TraceLeavesNoConnectionsOrClientSockets) {
+  // One paper-shape trace through the whole stack: once it drains, no TCP
+  // flow survives on any host and the vantage holds no NTP client socket.
+  World world(WorldParams::paper().scaled(0.05));
+  measure::CampaignPlan plan;
+  plan.entries.push_back({"UGla wired", 1, 1});
+  const auto traces = world.run_campaign(plan);
+  ASSERT_EQ(traces.size(), 1u);
+  for (const auto& name : world.vantage_names()) {
+    auto& vantage = world.vantage(name);
+    EXPECT_EQ(vantage.tcp().flow_count(), 0u) << name;
+    EXPECT_EQ(vantage.host().udp_socket_count(), 0u) << name;
+  }
+  for (const auto& server : world.servers()) {
+    EXPECT_EQ(server.tcp_stack->flow_count(), 0u) << server.address.to_string();
+  }
+}
+
 }  // namespace
 }  // namespace ecnprobe::scenario

@@ -118,16 +118,17 @@ TEST_P(WorldSeedSweep, TracerouteInvariantsHold) {
 TEST_P(WorldSeedSweep, ResponsesNeverArriveEctMarked) {
   // NTP responses are sent not-ECT and nothing on the path may upgrade
   // them: the capture at the vantage must never show an ECT/CE response.
+  netsim::PacketCapture capture;  // outlives the world it taps
   World world(params(GetParam()));
   auto& vantage = world.vantage("UGla wired");
-  vantage.capture().clear();
+  vantage.host().add_capture(&capture);
   measure::TraceRunner runner(vantage, world.server_addresses(),
                               measure::ProbeOptions{});
   bool done = false;
   runner.run(1, 0, [&](measure::Trace) { done = true; });
   world.sim().run();
   ASSERT_TRUE(done);
-  for (const auto& packet : vantage.capture().packets()) {
+  for (const auto& packet : capture.packets()) {
     if (packet.dir != netsim::Direction::Rx) continue;
     if (packet.dgram.ip.protocol != wire::IpProto::Udp) continue;
     EXPECT_NE(packet.dgram.ip.ecn, wire::Ecn::Ect0);

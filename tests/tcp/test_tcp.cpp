@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "tcp_fixture.hpp"
@@ -216,6 +217,103 @@ TEST(Tcp, TwoSequentialConnectionsToSameServer) {
   EXPECT_EQ(accepted_count, 2);
   EXPECT_NE(c1->local_port(), c2->local_port());
   EXPECT_EQ(c2->state(), TcpState::Established);
+}
+
+// -- lifetime: a finished connection holds nothing -------------------------
+
+TEST(TcpLifetime, FinishedConnectionReleasesItsHandlers) {
+  TcpPair pair;
+  auto sentinel = std::make_shared<int>(0);
+  pair.server->listen(80, [sentinel](std::shared_ptr<TcpConnection> conn) {
+    // The server side captures its own connection: a cycle until finish.
+    conn->set_receive_handler([conn, sentinel](std::span<const std::uint8_t>) {
+      conn->send(std::string_view("pong"));
+      conn->close();
+    });
+  });
+  auto conn = pair.client->connect(pair.server_host->address(), 80, false,
+                                   [sentinel](bool) {});
+  std::string got;
+  conn->set_receive_handler([&got, conn, sentinel](std::span<const std::uint8_t> data) {
+    got.append(data.begin(), data.end());
+    conn->close();
+  });
+  conn->set_close_handler([conn, sentinel](CloseReason) {});
+  conn->send(std::string_view("ping"));
+  pair.sim.run();
+  EXPECT_EQ(got, "pong");
+  EXPECT_EQ(conn->state(), TcpState::Closed);
+  EXPECT_EQ(pair.client->flow_count(), 0u);
+  EXPECT_EQ(pair.server->flow_count(), 0u);
+  pair.server->close_listener(80);  // the listener holds the last copy
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+TEST(TcpLifetime, RefusedConnectionReleasesItsHandlers) {
+  TcpPair pair;  // no listener: the SYN is answered by RST
+  auto sentinel = std::make_shared<int>(0);
+  std::optional<bool> established;
+  auto conn = pair.client->connect(pair.server_host->address(), 80, false,
+                                   [&established, sentinel](bool ok) { established = ok; });
+  conn->set_close_handler([conn, sentinel](CloseReason) {});
+  pair.sim.run();
+  ASSERT_TRUE(established.has_value());
+  EXPECT_FALSE(*established);
+  EXPECT_EQ(pair.client->flow_count(), 0u);
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+TEST(TcpLifetime, HandlerMayAbortItsOwnConnection) {
+  TcpPair pair;
+  pair.server->listen(80, [](std::shared_ptr<TcpConnection> conn) {
+    conn->set_receive_handler([conn](std::span<const std::uint8_t>) {
+      conn->send(std::string_view("first"));
+      conn->send(std::string_view("second"));
+    });
+  });
+  auto sentinel = std::make_shared<int>(0);
+  auto conn = pair.client->connect(pair.server_host->address(), 80, false, [](bool) {});
+  int deliveries = 0;
+  // Aborting inside the receive handler releases that handler mid-call.
+  conn->set_receive_handler([conn, sentinel, &deliveries](std::span<const std::uint8_t>) {
+    ++deliveries;
+    conn->abort();
+    EXPECT_EQ(*sentinel, 0);  // captures still alive inside the call
+  });
+  std::optional<CloseReason> reason;
+  conn->set_close_handler([&reason](CloseReason r) { reason = r; });
+  conn->send(std::string_view("go"));
+  pair.sim.run();
+  EXPECT_EQ(deliveries, 1);
+  ASSERT_TRUE(reason.has_value());
+  EXPECT_EQ(*reason, CloseReason::LocalAbort);
+  EXPECT_EQ(pair.client->flow_count(), 0u);
+  EXPECT_EQ(pair.server->flow_count(), 0u);
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+TEST(TcpLifetime, StackTeardownReleasesLiveConnections) {
+  TcpPair pair;
+  auto sentinel = std::make_shared<int>(0);
+  pair.server->listen(80, [sentinel](std::shared_ptr<TcpConnection> conn) {
+    conn->set_receive_handler([conn, sentinel](std::span<const std::uint8_t>) {});
+  });
+  auto conn = pair.client->connect(pair.server_host->address(), 80, false, [](bool) {});
+  conn->set_receive_handler([conn, sentinel](std::span<const std::uint8_t>) {});
+  conn->send(std::string_view("never closed"));
+  pair.sim.run();
+  EXPECT_EQ(pair.server->flow_count(), 1u);
+  EXPECT_GT(sentinel.use_count(), 1);
+
+  pair.server.reset();
+  pair.client.reset();
+  EXPECT_EQ(sentinel.use_count(), 1);
+  // A connection that outlived its stack is inert.
+  EXPECT_EQ(conn->state(), TcpState::Closed);
+  conn->send(std::string_view("ignored"));
+  conn->close();
+  conn->abort();
+  EXPECT_EQ(conn.use_count(), 1);
 }
 
 }  // namespace

@@ -679,7 +679,6 @@ int cmd_trace_autopsy(const Options& options) {
   try {
     world.begin_trace_epoch(planned.vantage, planned.batch, options.trace);
     auto& vantage = world.vantage(planned.vantage);
-    vantage.capture().clear();
     // Mirror the campaign executors' supervisor defaults so an autopsy of a
     // supervised campaign replays the trace bit for bit.
     measure::ProbeOptions probe;
@@ -813,22 +812,25 @@ int cmd_report(const Options& options) {
 int cmd_pcap(const Options& options) {
   scenario::World world(params_for(options));
   auto& vantage = world.vantage(options.vantage);
+  netsim::PacketCapture capture;  // the parallel tcpdump session
+  vantage.host().add_capture(&capture);
   bool done = false;
   measure::probe_server(vantage, world.servers()[0].address, measure::ProbeOptions{},
                         [&](const measure::ServerResult&) { done = true; });
   world.sim().run();
+  vantage.host().remove_capture(&capture);
   if (!done) {
     std::fprintf(stderr, "probe did not complete\n");
     return 1;
   }
   const std::string path = options.out.empty() ? "ecnprobe.pcap" : options.out;
-  if (!netsim::write_pcap_file(path, vantage.capture())) {
+  if (!netsim::write_pcap_file(path, capture)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(stderr, "wrote %zu packets to %s\n", vantage.capture().packets().size(),
+  std::fprintf(stderr, "wrote %zu packets to %s\n", capture.packets().size(),
                path.c_str());
-  for (const auto& packet : vantage.capture().packets()) {
+  for (const auto& packet : capture.packets()) {
     std::printf("%9.6f %s %s\n", packet.time.to_seconds(),
                 packet.dir == netsim::Direction::Tx ? ">" : "<",
                 wire::dissect(packet.dgram).c_str());
