@@ -149,9 +149,7 @@ BENCHMARK(BM_HttpResponseParse);
 /// Nanoseconds per operation for `op` run `iters` times, best of three.
 template <typename Fn>
 double ns_per_op(std::uint64_t iters, Fn&& op) {
-  // Min over many reps: the guarded speedup ratio in BENCH_wire.json is
-  // built from these, and the minimum is the least-interference estimate --
-  // three reps leave the full-recompute loop wobbling across process runs.
+  // Min over many reps: the minimum is the least-interference estimate.
   double best = 1e300;
   for (int rep = 0; rep < 9; ++rep) {
     const ecnprobe::bench::Stopwatch timer;
@@ -159,6 +157,48 @@ double ns_per_op(std::uint64_t iters, Fn&& op) {
     best = std::min(best, timer.seconds() * 1e9 / static_cast<double>(iters));
   }
   return best;
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2.0;
+}
+
+/// Per-side median ns per op, and the median of the per-round ratios a / b.
+struct PairedTiming {
+  double a_ns = 0.0;
+  double b_ns = 0.0;
+  double ratio = 0.0;
+};
+
+/// Times `a` and `b` back to back in `rounds` rounds of `iters` ops,
+/// alternating which goes first. Both sides of each round's ratio see the
+/// same machine state, so a load burst or a frequency change on the host
+/// moves the two together instead of landing in one side's best-of-N.
+template <typename A, typename B>
+PairedTiming paired_ns_per_op(std::uint64_t iters, int rounds, A&& a, B&& b) {
+  const auto time = [iters](auto& op) {
+    const ecnprobe::bench::Stopwatch timer;
+    for (std::uint64_t i = 0; i < iters; ++i) op(i);
+    return timer.seconds() * 1e9 / static_cast<double>(iters);
+  };
+  std::vector<double> a_ns, b_ns, ratios;
+  for (int round = 0; round < rounds; ++round) {
+    double ta = 0.0;
+    double tb = 0.0;
+    if (round % 2 == 0) {
+      ta = time(a);
+      tb = time(b);
+    } else {
+      tb = time(b);
+      ta = time(a);
+    }
+    a_ns.push_back(ta);
+    b_ns.push_back(tb);
+    ratios.push_back(tb > 0.0 ? ta / tb : 0.0);
+  }
+  return {median(a_ns), median(b_ns), median(ratios)};
 }
 
 int run_bench_json(const std::string& path) {
@@ -172,18 +212,21 @@ int run_bench_json(const std::string& path) {
     header[i] = static_cast<std::uint8_t>(rng.next_u64());
   }
   volatile std::uint16_t sink = 0;
-  const double full_ns = ns_per_op(2'000'000, [&](std::uint64_t i) {
+  std::uint16_t check = wire::internet_checksum(header);
+  const auto full = [&](std::uint64_t i) {
     header[8] = static_cast<std::uint8_t>(i);  // the TTL byte
     sink = wire::internet_checksum(header);
-  });
-  std::uint16_t check = wire::internet_checksum(header);
-  const double incr_ns = ns_per_op(2'000'000, [&](std::uint64_t i) {
+  };
+  const auto incremental = [&](std::uint64_t i) {
     const auto old_word = static_cast<std::uint16_t>((header[8] << 8) | header[9]);
     header[8] = static_cast<std::uint8_t>(i);
     const auto new_word = static_cast<std::uint16_t>((header[8] << 8) | header[9]);
     check = wire::checksum_update(check, old_word, new_word);
     sink = check;
-  });
+  };
+  const PairedTiming rewrite = paired_ns_per_op(200'000, 45, full, incremental);
+  const double full_ns = rewrite.a_ns;
+  const double incr_ns = rewrite.b_ns;
 
   // Probe encode cost: cold (full encode) vs wire-cache hit, and the
   // deterministic on-the-wire size of a four-way probe exchange.
@@ -205,14 +248,13 @@ int run_bench_json(const std::string& path) {
   bench::BenchJson json("wire");
   json.add("checksum_full_ns_per_rewrite", full_ns, "ns");
   json.add("checksum_incremental_ns_per_rewrite", incr_ns, "ns");
-  json.add("incremental_checksum_speedup", incr_ns > 0.0 ? full_ns / incr_ns : 0.0,
-           "x", /*guarded=*/true);
+  json.add("incremental_checksum_speedup", rewrite.ratio, "x", /*guarded=*/true);
   json.add("probe_encode_cold_ns", encode_cold_ns, "ns");
   json.add("probe_patch_and_view_ns", encode_cached_ns, "ns");
   json.add("udp_probe_wire_bytes", probe_wire_bytes, "bytes", /*guarded=*/true);
   std::printf("checksum rewrite: full %.1fns, incremental %.1fns (%.1fx); "
               "probe encode: cold %.0fns, cached patch %.1fns\n",
-              full_ns, incr_ns, incr_ns > 0.0 ? full_ns / incr_ns : 0.0,
+              full_ns, incr_ns, rewrite.ratio,
               encode_cold_ns, encode_cached_ns);
   return json.write(path) ? 0 : 1;
 }

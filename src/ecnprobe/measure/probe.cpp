@@ -25,6 +25,17 @@ void ProbeOptions::validate() const {
 
 namespace {
 
+// The four probe steps, in order, and the test label each reports under.
+constexpr const char* kStepTest[4] = {"udp-plain", "udp-ect0", "tcp-plain", "tcp-ecn"};
+
+// Vantage::probe_counters() slots: probe_udp_total (step 0-1 x ok/timeout),
+// probe_udp_attempts_total (step 0-1), probe_tcp_total (step 2-3 x
+// ok/failed), probe_servers_total.
+constexpr std::size_t kUdpOutcomeSlot = 0;
+constexpr std::size_t kUdpAttemptsSlot = 4;
+constexpr std::size_t kTcpOutcomeSlot = 6;
+constexpr std::size_t kServersSlot = 10;
+
 // Sequential four-step probe of one server. Self-owning via shared_ptr.
 //
 // With a supervisor attached, each step passes through three gates before
@@ -98,14 +109,19 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
   // ledger (cause probe-timeout, node = target server), which is what lets
   // the loss autopsy reconcile exactly with Figure 2's unreachable cells:
   // every failed probe has an attributed cause.
-  void record_udp(const char* test, const ntp::NtpQueryResult& r) {
+  void record_udp(std::size_t step, const ntp::NtpQueryResult& r) {
+    const char* test = kStepTest[step];
     auto& o = vantage.host().network().obs();
-    o.registry.counter("probe_udp_total",
-                       {{"test", test}, {"outcome", r.success ? "ok" : "timeout"}},
-                       "UDP NTP probe outcomes")->inc();
-    o.registry.counter("probe_udp_attempts_total", {{"test", test}},
-                       "UDP NTP request transmissions, retries included")
-        ->inc(static_cast<std::uint64_t>(r.attempts));
+    auto& counters = vantage.probe_counters();
+    counters
+        .get(o.registry, kUdpOutcomeSlot + 2 * step + (r.success ? 0 : 1), "probe_udp_total",
+             {{"test", test}, {"outcome", r.success ? "ok" : "timeout"}},
+             "UDP NTP probe outcomes")
+        .inc();
+    counters
+        .get(o.registry, kUdpAttemptsSlot + step, "probe_udp_attempts_total", {{"test", test}},
+             "UDP NTP request transmissions, retries included")
+        .inc(static_cast<std::uint64_t>(r.attempts));
     if (!r.success) {
       o.ledger.record_drop(obs::Layer::Measure, obs::DropCause::ProbeTimeout,
                            server.to_string());
@@ -124,11 +140,14 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
     }
   }
 
-  void record_tcp(const char* test, const http::HttpGetResult& r) {
+  void record_tcp(std::size_t step, const http::HttpGetResult& r) {
+    const char* test = kStepTest[step];
     auto& o = vantage.host().network().obs();
-    o.registry.counter("probe_tcp_total",
-                       {{"test", test}, {"outcome", r.connected ? "ok" : "failed"}},
-                       "TCP HTTP probe outcomes")->inc();
+    vantage.probe_counters()
+        .get(o.registry, kTcpOutcomeSlot + 2 * (step - 2) + (r.connected ? 0 : 1),
+             "probe_tcp_total", {{"test", test}, {"outcome", r.connected ? "ok" : "failed"}},
+             "TCP HTTP probe outcomes")
+        .inc();
     if (!r.connected) {
       o.ledger.record_drop(obs::Layer::Measure, obs::DropCause::ProbeTimeout,
                            server.to_string());
@@ -209,7 +228,7 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
         vantage.ntp().query(server, udp_options(wire::Ecn::NotEct, 0),
                             [self](const ntp::NtpQueryResult& r) {
                               if (self->finished) return;
-                              self->record_udp("udp-plain", r);
+                              self->record_udp(0, r);
                               self->result.udp_plain = to_outcome(r);
                               self->after_gap([self]() { self->run_step(1); });
                             });
@@ -219,7 +238,7 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
         vantage.ntp().query(server, udp_options(wire::Ecn::Ect0, 1),
                             [self](const ntp::NtpQueryResult& r) {
                               if (self->finished) return;
-                              self->record_udp("udp-ect0", r);
+                              self->record_udp(1, r);
                               self->result.udp_ect0 = to_outcome(r);
                               self->after_gap([self]() { self->run_step(2); });
                             });
@@ -229,7 +248,7 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
         vantage.http().get(server, /*want_ecn=*/false,
                            [self](const http::HttpGetResult& r) {
                              if (self->finished) return;
-                             self->record_tcp("tcp-plain", r);
+                             self->record_tcp(2, r);
                              self->result.tcp_plain = to_outcome(r);
                              self->after_gap([self]() { self->run_step(3); });
                            },
@@ -240,7 +259,7 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
         vantage.http().get(server, /*want_ecn=*/true,
                            [self](const http::HttpGetResult& r) {
                              if (self->finished) return;
-                             self->record_tcp("tcp-ecn", r);
+                             self->record_tcp(3, r);
                              self->result.tcp_ecn = to_outcome(r);
                              self->run_step(4);
                            },
@@ -253,9 +272,10 @@ struct ServerProbe : std::enable_shared_from_this<ServerProbe> {
     finished = true;
     watchdog.cancel();
     if (supervisor != nullptr) supervisor->on_server_result(server, any_step_succeeded());
-    vantage.host().network().obs().registry.counter(
-        "probe_servers_total", {{"vantage", vantage.name()}},
-        "servers fully probed, per vantage")->inc();
+    vantage.probe_counters()
+        .get(vantage.host().network().obs().registry, kServersSlot, "probe_servers_total",
+             {{"vantage", vantage.name()}}, "servers fully probed, per vantage")
+        .inc();
     if (handler) handler(result);
   }
 

@@ -11,6 +11,7 @@
 #include "ecnprobe/http/http_service.hpp"
 #include "ecnprobe/netsim/host.hpp"
 #include "ecnprobe/ntp/ntp.hpp"
+#include "ecnprobe/obs/metrics.hpp"
 #include "ecnprobe/tcp/tcp.hpp"
 #include "ecnprobe/traceroute/traceroute.hpp"
 
@@ -30,6 +31,11 @@ public:
   http::HttpGetClient& http() { return http_client_; }
   traceroute::Tracerouter& tracer();
 
+  /// Outcome counters the probe engine (probe.cpp) increments for this
+  /// vantage: one cached Counter* per label set, so a probe step costs no
+  /// registry lookup. Slots are assigned in probe.cpp.
+  obs::CounterCache& probe_counters() { return probe_counters_; }
+
 private:
   std::string name_;
   netsim::Host& host_;
@@ -38,6 +44,7 @@ private:
   http::HttpGetClient http_client_;
   // Lazily constructed: the Tracerouter claims the host's ICMP handler.
   std::unique_ptr<traceroute::Tracerouter> tracer_;
+  obs::CounterCache probe_counters_;
 };
 
 }  // namespace ecnprobe::measure

@@ -5,6 +5,12 @@
 // The FIFO tie-break is explicit: `seq` is part of the ordering key, not an
 // accident of container behaviour. Two events scheduled for the same
 // nanosecond fire in scheduling order, by construction.
+//
+// The heap sifts 24-byte {when, seq, slot} keys only. An event's body (its
+// closure, cancellation flag and scheduling time) is moved once into a slot
+// vector on push and once out of it on pop; sifting never touches it. Freed
+// slots go on a free list, so the slot vector stays at the queue's
+// high-water mark.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +33,6 @@ struct SimEvent {
   util::UniqueFunction fn;
   std::shared_ptr<bool> cancelled;
   SimTime scheduled_at;
-
-  /// The total order events pop in.
-  bool before(const SimEvent& other) const {
-    if (when != other.when) return when < other.when;
-    return seq < other.seq;
-  }
 };
 
 /// Binary min-heap of events ordered by (when, seq).
@@ -44,14 +44,32 @@ public:
   /// the historical run_until() semantics). Undefined when empty.
   SimTime min_when() const { return heap_.front().when; }
   bool empty() const { return heap_.empty(); }
-  /// Empties the queue but keeps its capacity (steady-state reuse).
-  void clear() { heap_.clear(); }
+  /// Destroys every queued event but keeps the capacity (steady-state reuse).
+  void clear();
+  /// Body slots allocated so far: the deepest the queue has been.
+  std::size_t slot_count() const { return slots_.size(); }
 
 private:
-  struct Later {
-    bool operator()(const SimEvent& a, const SimEvent& b) const { return b.before(a); }
+  struct Key {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
-  std::vector<SimEvent> heap_;
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.when != b.when) return b.when < a.when;
+      return b.seq < a.seq;
+    }
+  };
+  struct Body {
+    util::UniqueFunction fn;
+    std::shared_ptr<bool> cancelled;
+    SimTime scheduled_at;
+  };
+
+  std::vector<Key> heap_;
+  std::vector<Body> slots_;
+  std::vector<std::uint32_t> free_;  ///< indices of empty slots
 };
 
 }  // namespace ecnprobe::netsim

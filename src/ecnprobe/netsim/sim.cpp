@@ -1,5 +1,7 @@
 #include "ecnprobe/netsim/sim.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace ecnprobe::netsim {
@@ -36,9 +38,13 @@ bool Simulator::fire_next() {
     --live_;
     now_ = ev.when;
     if (ev.cancelled) *ev.cancelled = true;  // "fired": EventHandle::pending() is false
-    if (events_counter_ != nullptr) events_counter_->inc();
+    ++tally_fired_;
     if (lag_histogram_ != nullptr) {
-      lag_histogram_->observe((ev.when - ev.scheduled_at).to_millis());
+      const double lag_ms = (ev.when - ev.scheduled_at).to_millis();
+      tally_lag_sum_milli_ += static_cast<std::int64_t>(std::llround(lag_ms * 1000.0));
+      std::size_t i = 0;
+      while (i < lag_bounds_.size() && lag_ms > lag_bounds_[i]) ++i;
+      ++tally_lag_buckets_[i];
     }
     ev.fn();
     ++processed_;
@@ -47,8 +53,37 @@ bool Simulator::fire_next() {
   return false;
 }
 
+namespace {
+/// Publishes a simulator's tallies when a run loop exits, by return or by
+/// an exception unwinding out of a callback.
+struct PublishOnExit {
+  Simulator& sim;
+  ~PublishOnExit() { sim.publish_metrics(); }
+};
+}  // namespace
+
+void Simulator::set_metrics(obs::Counter* events_fired, obs::Histogram* event_lag_ms) {
+  publish_metrics();  // tallies so far belong to the previous instruments
+  events_counter_ = events_fired;
+  lag_histogram_ = event_lag_ms;
+  lag_bounds_ = lag_histogram_ != nullptr ? lag_histogram_->bounds() : std::vector<double>{};
+  tally_lag_buckets_.assign(lag_bounds_.size() + 1, 0);
+}
+
+void Simulator::publish_metrics() {
+  if (tally_fired_ == 0) return;
+  if (events_counter_ != nullptr) events_counter_->inc(tally_fired_);
+  if (lag_histogram_ != nullptr) {
+    lag_histogram_->add_tallies(tally_lag_buckets_, tally_fired_, tally_lag_sum_milli_);
+    std::fill(tally_lag_buckets_.begin(), tally_lag_buckets_.end(), 0);
+    tally_lag_sum_milli_ = 0;
+  }
+  tally_fired_ = 0;
+}
+
 std::size_t Simulator::run(std::size_t limit) {
   assert_owner();
+  PublishOnExit publish{*this};
   std::size_t fired = 0;
   while (fired < limit) {
     if (fire_next()) {
@@ -66,6 +101,7 @@ std::size_t Simulator::run(std::size_t limit) {
 
 std::size_t Simulator::run_until(SimTime until) {
   assert_owner();
+  PublishOnExit publish{*this};
   std::size_t fired = 0;
   while (!queue_.empty() && queue_.min_when() <= until) {
     if (fire_next()) ++fired;

@@ -114,10 +114,15 @@ public:
   /// Event-loop instrumentation: a fired-events counter and a histogram of
   /// the *simulated* delay between scheduling and firing (both measured in
   /// sim time, so they are deterministic). Either may be null.
-  void set_metrics(obs::Counter* events_fired, obs::Histogram* event_lag_ms) {
-    events_counter_ = events_fired;
-    lag_histogram_ = event_lag_ms;
-  }
+  ///
+  /// Each fired event is tallied in plain integers here, by the rule
+  /// Histogram::observe uses; the tallies reach the instruments in one
+  /// bulk add when run()/run_until() returns (or unwinds) and whenever
+  /// publish_metrics() is called. A reader that snapshots the registry
+  /// from inside a callback must call publish_metrics() first.
+  void set_metrics(obs::Counter* events_fired, obs::Histogram* event_lag_ms);
+  /// Adds the tallies gathered since the last publish to the instruments.
+  void publish_metrics();
 
 private:
   bool fire_next();
@@ -132,6 +137,12 @@ private:
   std::size_t live_high_water_ = 0;
   obs::Counter* events_counter_ = nullptr;
   obs::Histogram* lag_histogram_ = nullptr;
+  // Unpublished instrumentation: events fired, and the lag histogram's
+  // buckets (bounds copied from it, plus overflow) and milli-unit sum.
+  std::uint64_t tally_fired_ = 0;
+  std::vector<double> lag_bounds_;
+  std::vector<std::uint64_t> tally_lag_buckets_;
+  std::int64_t tally_lag_sum_milli_ = 0;
 
   // A Simulator is single-threaded by design; with campaign shards running
   // one Simulator per worker, this catches accidental cross-thread sharing.

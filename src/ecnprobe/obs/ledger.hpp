@@ -146,6 +146,9 @@ struct Observability {
   FlightRecorder recorder;
   TelemetryRecorder telemetry;    ///< disarmed in exact mode: one bool test
   TimeSeriesRecorder timeseries;  ///< disarmed by default: one bool test
+  /// TCP handshake/ECN/retransmission counters (slots assigned in
+  /// tcp.cpp): cached once per world rather than once per stack.
+  CounterCache tcp_counters;
 };
 
 /// Everything one campaign produced: the metrics delta plus the ledger

@@ -35,6 +35,31 @@ void Histogram::observe(double value) {
   buckets_[i].fetch_add(1, std::memory_order_relaxed);
 }
 
+void Histogram::add_tallies(std::span<const std::uint64_t> buckets, std::uint64_t count,
+                            std::int64_t sum_milli) {
+  assert(buckets.size() == buckets_.size() && "one tally per bucket, overflow included");
+  sum_milli_.fetch_add(sum_milli, std::memory_order_relaxed);
+  count_.fetch_add(count, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets[i] != 0) buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
+  }
+}
+
+// -- CounterCache ------------------------------------------------------------
+
+Counter& CounterCache::resolve(MetricsRegistry& registry, std::size_t slot,
+                               std::string_view family, Labels labels, std::string_view help) {
+  if (&registry != registry_) {
+    registry_ = &registry;
+    slots_.clear();
+  }
+  if (slot >= slots_.size()) slots_.resize(slot + 1, nullptr);
+  LabelSet label_set;
+  for (const auto& [key, value] : labels) label_set.emplace(key, value);
+  slots_[slot] = registry.counter(std::string(family), label_set, std::string(help));
+  return *slots_[slot];
+}
+
 // -- SampleValue -------------------------------------------------------------
 
 bool SampleValue::is_zero() const {

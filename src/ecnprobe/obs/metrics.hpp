@@ -13,20 +13,24 @@
 //      bytes.
 //   2. *Cheap on the hot path.* Looking an instrument up takes a mutex;
 //      incrementing one is a single relaxed atomic add. Call sites that
-//      fire per-packet cache the Counter*/Histogram* pointer once --
-//      instrument pointers are stable for the registry's lifetime.
+//      fire per-packet or per-probe cache the Counter*/Histogram* pointer
+//      (CounterCache for a few label sets) -- instrument pointers are
+//      stable for the registry's lifetime.
 //   3. *Thread-safe.* Workers in a parallel campaign own private
 //      registries, but the process-wide default and the runtime registry
 //      (progress gauges, worker utilization) are shared across threads.
 #pragma once
 
 #include <atomic>
+#include <initializer_list>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ecnprobe::obs {
@@ -70,6 +74,11 @@ public:
   explicit Histogram(std::vector<double> bounds);
 
   void observe(double value);
+  /// Bulk add of observations a caller tallied itself by observe()'s rule:
+  /// `buckets` holds bounds().size() + 1 counts (last = overflow), `count`
+  /// their total and `sum_milli` the sum of llround(value * 1000).
+  void add_tallies(std::span<const std::uint64_t> buckets, std::uint64_t count,
+                   std::int64_t sum_milli);
   const std::vector<double>& bounds() const { return bounds_; }
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   std::int64_t sum_milli() const { return sum_milli_.load(std::memory_order_relaxed); }
@@ -157,6 +166,33 @@ private:
 
   mutable std::mutex mutex_;
   std::map<std::string, Family> families_;
+};
+
+/// Counter pointers for hot call sites with a small, fixed set of label
+/// sets, kept next to the code that increments them. Each slot is looked
+/// up in the registry on first use only, so a label set a run never
+/// increments is never registered; all slots are dropped if the owner
+/// starts reporting into a different registry. Slot numbers are assigned
+/// by the call sites that share one cache.
+class CounterCache {
+public:
+  using Labels = std::initializer_list<std::pair<std::string_view, std::string_view>>;
+
+  /// The counter cached in `slot`: `family{labels}` in `registry`.
+  Counter& get(MetricsRegistry& registry, std::size_t slot, std::string_view family,
+               Labels labels, std::string_view help) {
+    if (&registry == registry_ && slot < slots_.size() && slots_[slot] != nullptr) {
+      return *slots_[slot];
+    }
+    return resolve(registry, slot, family, labels, help);
+  }
+
+private:
+  Counter& resolve(MetricsRegistry& registry, std::size_t slot, std::string_view family,
+                   Labels labels, std::string_view help);
+
+  MetricsRegistry* registry_ = nullptr;
+  std::vector<Counter*> slots_;
 };
 
 }  // namespace ecnprobe::obs

@@ -632,6 +632,10 @@ void World::begin_trace_epoch(const std::string& vantage, int batch, int index) 
 }
 
 void World::mark_obs_baseline() {
+  // The simulator tallies its instrumentation locally; publish it so the
+  // snapshot counts every event fired so far (this runs inside sim
+  // callbacks on the sequential executor).
+  sim_.publish_metrics();
   obs_baseline_ = obs_.registry.snapshot();
   obs_ledger_mark_ = obs_.ledger.counts();
   obs_flight_mark_ = obs_.recorder.cursor();
@@ -641,7 +645,8 @@ std::vector<obs::FlightEvent> World::collect_flight_slice() const {
   return obs_.recorder.collect_since(obs_flight_mark_);
 }
 
-obs::ObsSnapshot World::collect_obs_delta() const {
+obs::ObsSnapshot World::collect_obs_delta() {
+  sim_.publish_metrics();
   obs::ObsSnapshot delta;
   delta.metrics = obs_.registry.snapshot().delta_since(obs_baseline_);
   delta.ledger = obs_.ledger.delta_since(obs_ledger_mark_);

@@ -223,7 +223,8 @@ public:
   void mark_obs_baseline();
   /// Everything the registry and ledger accumulated since the last
   /// mark_obs_baseline() -- one trace's worth when bracketed by epochs.
-  obs::ObsSnapshot collect_obs_delta() const;
+  /// Both publish the simulator's pending tallies before they snapshot.
+  obs::ObsSnapshot collect_obs_delta();
   /// Campaign-scoped observability accumulated by the last run_campaign():
   /// per-trace deltas summed in plan order, excluding world construction.
   /// Byte-identical to ParallelCampaign::metrics() for the same plan.

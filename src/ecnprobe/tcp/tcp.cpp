@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <utility>
 
 #include "ecnprobe/obs/metrics.hpp"
@@ -58,25 +59,42 @@ std::string_view to_string(CloseReason r) {
 
 namespace {
 // Handshake/ECN outcome counters live in the owning network's registry, so
-// campaign metrics pick them up per-trace. Lookups are per-event (a few per
-// connection), so no pointer caching is needed.
-void count_handshake(TcpStack& stack, const char* role, std::string_view outcome) {
-  stack.host().network().obs().registry.counter(
-      "tcp_handshakes_total",
-      {{"role", role}, {"outcome", std::string(outcome)}},
-      "TCP handshake outcomes by role")->inc();
+// campaign metrics pick them up per-trace. They fire a few times per
+// connection, so the Counter* of each label set is cached once per world
+// (Observability::tcp_counters) instead of looked up by label map per call.
+constexpr std::size_t kRetransmissionSlot = 0;
+constexpr std::size_t kEcnSlot = 1;        // + 0 refused, + 1 negotiated
+constexpr std::size_t kHandshakeSlot = 3;  // + role * 6 + outcome
+constexpr std::size_t kHandshakeOutcomes = 6;  // established + each CloseReason
+
+obs::Counter& tcp_counter(TcpStack& stack, std::size_t slot, std::string_view family,
+                          obs::CounterCache::Labels labels, std::string_view help) {
+  auto& o = stack.host().network().obs();
+  return o.tcp_counters.get(o.registry, slot, family, labels, help);
+}
+
+/// `failure` is the close reason of a handshake that never completed.
+void count_handshake(TcpStack& stack, bool client, std::optional<CloseReason> failure) {
+  const std::size_t outcome = failure ? 1 + static_cast<std::size_t>(*failure) : 0;
+  tcp_counter(stack, kHandshakeSlot + (client ? 0 : kHandshakeOutcomes) + outcome,
+              "tcp_handshakes_total",
+              {{"role", client ? "client" : "server"},
+               {"outcome", failure ? to_string(*failure) : "established"}},
+              "TCP handshake outcomes by role")
+      .inc();
 }
 
 void count_ecn_negotiation(TcpStack& stack, bool negotiated) {
-  stack.host().network().obs().registry.counter(
-      "tcp_ecn_negotiation_total",
-      {{"result", negotiated ? "negotiated" : "refused"}},
-      "client-side ECN negotiation outcomes")->inc();
+  tcp_counter(stack, kEcnSlot + (negotiated ? 1 : 0), "tcp_ecn_negotiation_total",
+              {{"result", negotiated ? "negotiated" : "refused"}},
+              "client-side ECN negotiation outcomes")
+      .inc();
 }
 
 void count_retransmission(TcpStack& stack) {
-  stack.host().network().obs().registry.counter(
-      "tcp_retransmissions_total", {}, "TCP segment retransmissions")->inc();
+  tcp_counter(stack, kRetransmissionSlot, "tcp_retransmissions_total", {},
+              "TCP segment retransmissions")
+      .inc();
 }
 }  // namespace
 
@@ -373,7 +391,7 @@ void TcpConnection::on_segment(const wire::Datagram& dgram,
       snd_nxt_ = seg.header.ack;
       ecn_ok_ = want_ecn_ && seg.header.is_ecn_setup_syn_ack();
       state_ = TcpState::Established;
-      count_handshake(stack_, "client", "established");
+      count_handshake(stack_, /*client=*/true, std::nullopt);
       if (want_ecn_) count_ecn_negotiation(stack_, ecn_ok_);
       retries_ = 0;
       current_rto_ = config_.initial_rto;
@@ -396,7 +414,7 @@ void TcpConnection::on_segment(const wire::Datagram& dgram,
         snd_una_ = iss_ + 1;
         snd_nxt_ = iss_ + 1;
         state_ = TcpState::Established;
-        count_handshake(stack_, "server", "established");
+        count_handshake(stack_, /*client=*/false, std::nullopt);
         retries_ = 0;
         current_rto_ = config_.initial_rto;
         disarm_rto();
@@ -568,8 +586,7 @@ void TcpConnection::finish(CloseReason reason) {
   finished_ = true;
   auto keep_alive = shared_from_this();  // release_flow may drop the last ref
   if (state_ == TcpState::SynSent || state_ == TcpState::SynReceived) {
-    count_handshake(stack_, state_ == TcpState::SynSent ? "client" : "server",
-                    to_string(reason));
+    count_handshake(stack_, state_ == TcpState::SynSent, reason);
   }
   disarm_rto();
   time_wait_timer_.cancel();

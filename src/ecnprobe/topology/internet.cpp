@@ -1,7 +1,6 @@
 #include "ecnprobe/topology/internet.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 #include "ecnprobe/util/log.hpp"
@@ -92,6 +91,7 @@ NodeId Internet::add_router(AsInfo& as, const TopologyParams& params) {
 void Internet::connect_routers(NodeId a, NodeId b, const LinkParams& link, bool inter_as,
                                Asn asn_a, Asn asn_b) {
   const auto [if_a, if_b] = net_.connect(a, b, link);
+  if (adjacency_.size() <= std::max(a, b)) adjacency_.resize(std::max(a, b) + 1);
   adjacency_[a].push_back({b, if_a});
   adjacency_[b].push_back({a, if_b});
   const auto key = [](NodeId n, int i) {
@@ -278,8 +278,9 @@ bool Internet::is_inter_as_interface(NodeId node, int if_index) const {
 }
 
 const std::vector<std::int32_t>& Internet::tree_toward(NodeId dest_router) {
-  const auto it = trees_.find(dest_router);
-  if (it != trees_.end()) return it->second;
+  if (dest_router >= trees_.size()) trees_.resize(net_.node_count());
+  std::vector<std::int32_t>& tree = trees_[dest_router];
+  if (!tree.empty()) return tree;
 
   // BFS outward from the destination router. For each router reached from
   // `u` over an edge, the next hop toward the destination is the reverse
@@ -288,22 +289,19 @@ const std::vector<std::int32_t>& Internet::tree_toward(NodeId dest_router) {
   // relaxation iterates v's own adjacency entries instead.
   std::vector<std::int32_t> egress(net_.node_count(), kNoInterface);
   std::vector<char> visited(net_.node_count(), 0);
-  std::deque<NodeId> frontier;
+  std::vector<NodeId> frontier{dest_router};  // FIFO: frontier[head..] is queued
   visited[dest_router] = 1;
-  frontier.push_back(dest_router);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    const auto adj_it = adjacency_.find(u);
-    if (adj_it == adjacency_.end()) continue;
-    for (const auto& [v, if_u] : adj_it->second) {
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const NodeId u = frontier[head];
+    if (u >= adjacency_.size()) continue;
+    for (const auto& [v, if_u] : adjacency_[u]) {
       if (visited[v]) continue;
       // Down links are invisible to routing (links are symmetric, so
       // checking this side suffices).
       if (!net_.interface(u, if_u).up) continue;
       visited[v] = 1;
       // Find v's interface toward u.
-      for (const auto& [w, if_v] : adjacency_.at(v)) {
+      for (const auto& [w, if_v] : adjacency_[v]) {
         if (w == u) {
           egress[v] = if_v;
           break;
@@ -312,7 +310,8 @@ const std::vector<std::int32_t>& Internet::tree_toward(NodeId dest_router) {
       frontier.push_back(v);
     }
   }
-  return trees_.emplace(dest_router, std::move(egress)).first->second;
+  tree = std::move(egress);
+  return tree;
 }
 
 int Internet::route_oracle(NodeId at, wire::Ipv4Address dst) {

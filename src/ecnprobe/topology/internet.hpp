@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "ecnprobe/geo/geo.hpp"
@@ -139,19 +140,22 @@ private:
   std::map<Asn, std::size_t> as_index_;
   std::map<Asn, std::uint32_t> next_host_addr_;  ///< allocation cursor per AS
 
-  // Router-graph adjacency for BFS: per node, (neighbor, egress_if) pairs.
-  std::map<netsim::NodeId, std::vector<std::pair<netsim::NodeId, int>>> adjacency_;
+  // Router-graph adjacency for BFS, indexed by NodeId: per node,
+  // (neighbor, egress_if) pairs in connection order.
+  std::vector<std::vector<std::pair<netsim::NodeId, int>>> adjacency_;
   std::map<netsim::NodeId, Asn> router_of_;
 
   std::vector<InterAsLink> inter_as_links_;
   std::vector<InterfaceRef> intra_as_interfaces_;
   std::map<std::uint64_t, bool> inter_as_if_;  ///< (node<<32|if) -> inter-AS?
 
-  std::map<std::uint32_t, Attachment> attachments_;  ///< host addr -> attachment
+  std::unordered_map<std::uint32_t, Attachment> attachments_;  ///< host addr -> attachment
 
-  // Per-destination-router shortest-path trees: egress interface index on
-  // every router toward the key router; kNoInterface if unreachable.
-  std::map<netsim::NodeId, std::vector<std::int32_t>> trees_;
+  // Per-destination-router shortest-path trees, indexed by the destination
+  // router's NodeId and built on first use (empty = not built yet): egress
+  // interface index on every node toward that router; kNoInterface if
+  // unreachable.
+  std::vector<std::vector<std::int32_t>> trees_;
 
   IpToAsMap ip2as_;
 };

@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "ecnprobe/obs/metrics.hpp"
 #include "ecnprobe/util/rng.hpp"
 
 namespace ecnprobe::netsim {
@@ -149,6 +151,19 @@ TEST(Simulator, ClearPendingDropsEventsAndIdleCallbacks) {
   EXPECT_FALSE(fired);
 }
 
+TEST(Simulator, ClearPendingDestroysEveryQueuedClosure) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  for (int i = 0; i < 50; ++i) {
+    sim.schedule(SimDuration::millis(i), [token] {});
+    sim.post(SimDuration::millis(i), [token] {});
+  }
+  sim.schedule_when_idle([token] {});
+  EXPECT_EQ(token.use_count(), 102);
+  sim.clear_pending();
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 TEST(Simulator, SameNanosecondTieBreakIsSubmissionOrder) {
   // The total event order is (when, seq) with seq assigned at submission.
   // schedule() and post() draw from the same counter, so events landing on
@@ -260,6 +275,120 @@ TEST(Simulator, SecondThreadUseThrows) {
   other.join();
   EXPECT_TRUE(threw);
   sim.run();  // still usable from the owning thread
+}
+
+// -- instrumentation tallies ---------------------------------------------------
+//
+// The simulator tallies its fired-events counter and lag histogram locally
+// and publishes them in bulk. Whatever path a run takes, the published
+// values must equal what one Histogram::observe per fired event gives.
+
+const std::vector<double> kLagBounds = {0.1, 1.0, 5.0, 25.0, 100.0, 500.0, 2500.0};
+
+struct SimMetricsFixture {
+  obs::MetricsRegistry registry;
+  Simulator sim;
+  obs::Histogram reference{kLagBounds};  ///< one observe() per fired event
+
+  SimMetricsFixture() {
+    sim.set_metrics(registry.counter("sim_events_total"),
+                    registry.histogram("sim_event_lag_ms", kLagBounds));
+  }
+
+  /// Schedules (or posts) an event `delay` out that feeds the reference
+  /// when it fires; `then` runs after that.
+  void add(SimDuration delay, bool post = false, std::function<void()> then = nullptr) {
+    auto fn = [this, delay, then = std::move(then)] {
+      reference.observe(delay.to_millis());
+      if (then) then();
+    };
+    if (post) {
+      sim.post(delay, std::move(fn));
+    } else {
+      sim.schedule(delay, std::move(fn));
+    }
+  }
+
+  /// A spread of lags: zero, sub-bucket, exactly on bounds, between
+  /// bounds, and past the last bound (overflow).
+  void add_spread() {
+    const std::int64_t lags_us[] = {0,      50,      100,     101,       999,   1'000,
+                                    1'001,  4'321,   5'000,   24'999,    25'000, 77'777,
+                                    100'000, 499'999, 500'000, 2'500'000, 2'500'001,
+                                    9'000'000};
+    bool post = false;
+    for (const auto us : lags_us) {
+      add(SimDuration::micros(us), post);
+      post = !post;
+    }
+  }
+
+  void expect_published() const {
+    const auto snapshot = registry.snapshot();
+    const auto& events = snapshot.families.at("sim_events_total").samples.at({});
+    const auto& lag = snapshot.families.at("sim_event_lag_ms").samples.at({});
+    EXPECT_EQ(events.counter, reference.count());
+    EXPECT_EQ(lag.count, reference.count());
+    EXPECT_EQ(lag.sum_milli, reference.sum_milli());
+    ASSERT_EQ(lag.buckets.size(), kLagBounds.size() + 1);
+    for (std::size_t i = 0; i < lag.buckets.size(); ++i) {
+      EXPECT_EQ(lag.buckets[i], reference.bucket_count(i)) << "bucket " << i;
+    }
+  }
+};
+
+TEST(SimulatorMetrics, RunPublishesPerEventTallies) {
+  SimMetricsFixture f;
+  f.add_spread();
+  // Nested scheduling: the lag is measured from the inner schedule call.
+  f.add(SimDuration::millis(3), false, [&f] { f.add(SimDuration::micros(250)); });
+  f.sim.run();
+  EXPECT_EQ(f.reference.count(), 20u);
+  f.expect_published();
+}
+
+TEST(SimulatorMetrics, RunLimitAndRunUntilPublishOnReturn) {
+  SimMetricsFixture f;
+  f.add_spread();
+  f.sim.run(5);
+  EXPECT_EQ(f.reference.count(), 5u);
+  f.expect_published();
+  f.sim.run_until(SimTime::zero() + SimDuration::millis(100));
+  EXPECT_EQ(f.reference.count(), 13u);
+  f.expect_published();
+  f.sim.run();
+  EXPECT_EQ(f.reference.count(), 18u);
+  f.expect_published();
+}
+
+TEST(SimulatorMetrics, SnapshotFromIdleCallbackSeesEveryFiredEvent) {
+  SimMetricsFixture f;
+  f.add_spread();
+  bool checked = false;
+  f.sim.schedule_when_idle([&] {
+    // A mid-run reader (the sequential executor's trace commit) publishes
+    // before it snapshots.
+    f.sim.publish_metrics();
+    f.expect_published();
+    checked = true;
+    f.add_spread();
+  });
+  f.sim.run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(f.reference.count(), 36u);
+  f.expect_published();  // and the run's own publish does not double count
+}
+
+TEST(SimulatorMetrics, ThrowingCallbackStillPublishes) {
+  SimMetricsFixture f;
+  f.add_spread();
+  f.add(SimDuration::millis(7), false, [] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(f.sim.run(), std::runtime_error);
+  f.expect_published();
+  f.sim.clear_pending();
+  f.add(SimDuration::millis(1));
+  f.sim.run();
+  f.expect_published();
 }
 
 }  // namespace

@@ -178,5 +178,24 @@ TEST(MetricsSnapshot, MergeRejectsMismatchedHistogramBounds) {
   EXPECT_EQ(ok.families.at("rtt_ms").samples.at({}).count, 2u);
 }
 
+TEST(CounterCache, RegistersALabelSetOnFirstUseAndFollowsTheRegistry) {
+  MetricsRegistry a;
+  MetricsRegistry b;
+  CounterCache cache;
+  Counter& ok = cache.get(a, 1, "probes_total", {{"outcome", "ok"}}, "probes");
+  ok.inc();
+  // Cached: the same instrument, no second lookup needed.
+  EXPECT_EQ(&cache.get(a, 1, "probes_total", {{"outcome", "ok"}}, "probes"), &ok);
+  EXPECT_EQ(&ok, a.counter("probes_total", {{"outcome", "ok"}}));
+  // Slot 0 was never asked for, so its label set was never registered.
+  const auto snapshot = a.snapshot();
+  ASSERT_EQ(snapshot.families.at("probes_total").samples.size(), 1u);
+  EXPECT_EQ(snapshot.families.at("probes_total").samples.at({{"outcome", "ok"}}).counter, 1u);
+  // A different registry drops every cached slot.
+  Counter& in_b = cache.get(b, 1, "probes_total", {{"outcome", "ok"}}, "probes");
+  EXPECT_EQ(&in_b, b.counter("probes_total", {{"outcome", "ok"}}));
+  EXPECT_NE(&in_b, &ok);
+}
+
 }  // namespace
 }  // namespace ecnprobe::obs

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
+#include <vector>
 
 namespace ecnprobe::topology {
 namespace {
@@ -194,6 +196,98 @@ TEST_F(InternetTest, ReroutesAroundDownLinksAfterInvalidation) {
   client->send(server_host->address(), 7, {}, wire::Ecn::NotEct);
   sim.run();
   EXPECT_EQ(received, 3);
+}
+
+/// Reference next hop from router `at` toward router `dest`, computed from
+/// the Network's public interface table: a BFS outward from `dest` over up
+/// router-to-router links, neighbours in interface order, each router's
+/// egress being its first interface toward the router it was reached from.
+int reference_next_hop(const Internet& internet, netsim::Network& net, netsim::NodeId at,
+                       netsim::NodeId dest) {
+  const auto is_router = [&](netsim::NodeId n) {
+    return internet.asn_of_router(n).has_value();
+  };
+  std::vector<int> egress(net.node_count(), netsim::kNoInterface);
+  std::vector<char> visited(net.node_count(), 0);
+  std::deque<netsim::NodeId> frontier{dest};
+  visited[dest] = 1;
+  while (!frontier.empty()) {
+    const netsim::NodeId u = frontier.front();
+    frontier.pop_front();
+    for (std::size_t i = 0; i < net.interface_count(u); ++i) {
+      const auto& iface = net.interface(u, static_cast<int>(i));
+      const netsim::NodeId v = iface.peer;
+      if (!is_router(v) || visited[v] || !iface.up) continue;
+      visited[v] = 1;
+      for (std::size_t j = 0; j < net.interface_count(v); ++j) {
+        if (net.interface(v, static_cast<int>(j)).peer == u) {
+          egress[v] = static_cast<int>(j);
+          break;
+        }
+      }
+      frontier.push_back(v);
+    }
+  }
+  return egress[at];
+}
+
+TEST_F(InternetTest, RouteMatchesReferenceBfsForEveryRouterAndAddress) {
+  // One host on every stub AS, then every (router, destination) pair:
+  // host addresses route to the attachment router (and from it down the
+  // access link), router addresses to the router itself.
+  std::vector<std::pair<wire::Ipv4Address, Internet::Attachment>> hosts;
+  for (const auto asn : internet->stub_ases()) {
+    auto host = std::make_unique<netsim::Host>("h" + std::to_string(asn),
+                                               netsim::Host::Params{}, util::Rng(asn));
+    netsim::Host* raw = host.get();
+    const auto attachment = internet->attach_host(asn, std::move(host), netsim::LinkParams{});
+    hosts.emplace_back(raw->address(), attachment);
+  }
+  std::vector<netsim::NodeId> routers;
+  for (const auto& as : internet->ases()) {
+    routers.insert(routers.end(), as.routers.begin(), as.routers.end());
+  }
+  auto& net = internet->net();
+  const auto check_all = [&] {
+    for (const auto at : routers) {
+      for (const auto& [address, attachment] : hosts) {
+        const int expected = at == attachment.router
+                                 ? attachment.router_if
+                                 : reference_next_hop(*internet, net, at, attachment.router);
+        ASSERT_EQ(net.route(at, address), expected)
+            << "at " << at << " to host " << address.to_string();
+      }
+      for (const auto dest : routers) {
+        ASSERT_EQ(net.route(at, net.node(dest).address()),
+                  reference_next_hop(*internet, net, at, dest))
+            << "at " << at << " to router " << dest;
+      }
+      EXPECT_EQ(net.route(at, *wire::Ipv4Address::parse("203.0.113.7")), netsim::kNoInterface);
+    }
+  };
+  check_all();
+
+  // Cut one uplink of a dual-homed stub: until the trees are invalidated
+  // the cached route still points down it; afterwards every pair matches
+  // the reference over the surviving links again.
+  const auto& [address, attachment] = hosts.front();
+  const InterAsLink* cut = nullptr;
+  for (const auto& link : internet->inter_as_links()) {
+    if (link.asn_a == attachment.asn || link.asn_b == attachment.asn) {
+      cut = &link;
+      break;
+    }
+  }
+  ASSERT_NE(cut, nullptr);
+  const InterfaceRef far = cut->asn_a == attachment.asn ? cut->b : cut->a;
+  const int before = net.route(far.node, address);
+  EXPECT_EQ(before, far.if_index) << "the far end routes over the link being cut";
+  net.set_link_up(far.node, far.if_index, false);
+  EXPECT_EQ(net.route(far.node, address), before) << "cached until invalidated";
+  internet->invalidate_routes();
+  EXPECT_NE(net.route(far.node, address), before);
+  EXPECT_NE(net.route(far.node, address), netsim::kNoInterface);
+  check_all();
 }
 
 }  // namespace
