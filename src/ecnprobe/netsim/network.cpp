@@ -20,9 +20,23 @@ void Node::set_address(wire::Ipv4Address addr) {
 Network::Network(Simulator& sim, util::Rng rng)
     : sim_(sim), rng_(rng), obs_(&obs::Observability::process()) {
   set_observability(obs_);
+  sim_.add_metrics_publisher(this, [this] { publish_metrics(); });
+}
+
+Network::~Network() { sim_.remove_metrics_publisher(this); }
+
+void Network::publish_metrics() {
+  const auto publish = [](obs::Counter* counter, std::uint64_t now, std::uint64_t& published) {
+    if (now != published) counter->inc(now - published);
+    published = now;
+  };
+  publish(transmitted_counter_, stats_.packets_transmitted, published_.packets_transmitted);
+  publish(delivered_counter_, stats_.delivered, published_.delivered);
+  publish(duplicated_counter_, stats_.duplicated, published_.duplicated);
 }
 
 void Network::set_observability(obs::Observability* obs) {
+  if (transmitted_counter_ != nullptr) publish_metrics();  // counts so far: old registry
   obs_ = obs;
   transmitted_counter_ = obs_->registry.counter("net_packets_transmitted_total", {},
                                                 "datagrams entering the datapath");
@@ -134,9 +148,8 @@ void Network::set_link_up(NodeId id, int if_index, bool up) {
 }
 
 void Network::transmit(NodeId from, int egress_if, wire::Datagram dgram) {
-  Interface& iface = interface(from, egress_if);
+  Interface& iface = ifaces_[from][static_cast<std::size_t>(egress_if)];
   ++stats_.packets_transmitted;
-  transmitted_counter_->inc();
   if (!iface.up) {
     ++stats_.dropped_link_down;
     obs_->ledger.record_drop(obs::Layer::Link, obs::DropCause::LinkDown,
@@ -188,7 +201,7 @@ void Network::transmit(NodeId from, int egress_if, wire::Datagram dgram) {
     // post(): fire-and-forget, so the delivery hot path allocates no
     // cancellation control block and the closure stays inline in the event.
     sim_.post(after, [this, to, ingress_if, d = std::move(packet)]() mutable {
-      Interface& rx = interface(to, ingress_if);
+      Interface& rx = ifaces_[to][static_cast<std::size_t>(ingress_if)];
       for (auto& policy : rx.ingress_policies) {
         const wire::Ecn before = d.ip.ecn;
         if (policy->apply(d, rng_, sim_.now()) == PolicyAction::Drop) {
@@ -206,7 +219,6 @@ void Network::transmit(NodeId from, int egress_if, wire::Datagram dgram) {
         }
       }
       ++stats_.delivered;
-      delivered_counter_->inc();
       nodes_[to]->on_receive(std::move(d), ingress_if);
     });
   };
@@ -214,7 +226,6 @@ void Network::transmit(NodeId from, int egress_if, wire::Datagram dgram) {
     // The copy draws its own jitter (after the original's draw, so the
     // fault-free RNG stream is untouched when no duplication fires).
     ++stats_.duplicated;
-    duplicated_counter_->inc();
     deliver(link_delay(), dgram);
   }
   deliver(delay, std::move(dgram));

@@ -92,6 +92,9 @@ struct NetworkStats {
 class Network {
 public:
   Network(Simulator& sim, util::Rng rng);
+  ~Network();
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// Adds a node; the network takes ownership.
   NodeId add_node(std::unique_ptr<Node> node);
@@ -110,7 +113,9 @@ public:
   void add_ingress_policy(NodeId id, int if_index, PolicyPtr policy);
   void set_link_up(NodeId id, int if_index, bool up);
 
-  /// Sends a datagram out of `egress_if`. Consumes the datagram.
+  /// Sends a datagram out of `egress_if`, which must be an existing
+  /// interface of `from` (unchecked: this is the per-hop path). Consumes
+  /// the datagram.
   void transmit(NodeId from, int egress_if, wire::Datagram dgram);
 
   /// Next-hop decision: returns the egress interface on `at` toward `dst`,
@@ -130,6 +135,11 @@ public:
   /// ECN rewrites are attributed in its ledger, aggregates mirrored into
   /// its registry. Defaults to the process-wide instance; a World installs
   /// its own so parallel worker clones never share one.
+  ///
+  /// Per-hop counts live only in stats(); their deltas reach the registry's
+  /// net_packets_{transmitted,delivered,duplicated}_total counters under
+  /// the simulator's publishing rule (Simulator::publish_metrics), and
+  /// before set_observability() swaps the registry.
   obs::Observability& obs() const { return *obs_; }
   void set_observability(obs::Observability* obs);
 
@@ -147,6 +157,10 @@ public:
   void begin_epoch(std::uint64_t epoch_seed);
 
 private:
+  /// Adds the stats() counts gained since the last publish to the
+  /// registry counters.
+  void publish_metrics();
+
   Simulator& sim_;
   util::Rng rng_;
   RoutingOracle oracle_;
@@ -154,6 +168,7 @@ private:
   std::vector<std::vector<Interface>> ifaces_;
   std::map<std::uint32_t, NodeId> by_address_;
   NetworkStats stats_;
+  NetworkStats published_;  ///< stats_ as of the last publish
   std::uint16_t ip_id_ = 1;
   obs::Observability* obs_;
   obs::Counter* transmitted_counter_ = nullptr;

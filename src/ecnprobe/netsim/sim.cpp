@@ -71,14 +71,24 @@ void Simulator::set_metrics(obs::Counter* events_fired, obs::Histogram* event_la
 }
 
 void Simulator::publish_metrics() {
-  if (tally_fired_ == 0) return;
-  if (events_counter_ != nullptr) events_counter_->inc(tally_fired_);
-  if (lag_histogram_ != nullptr) {
-    lag_histogram_->add_tallies(tally_lag_buckets_, tally_fired_, tally_lag_sum_milli_);
-    std::fill(tally_lag_buckets_.begin(), tally_lag_buckets_.end(), 0);
-    tally_lag_sum_milli_ = 0;
+  if (tally_fired_ != 0) {
+    if (events_counter_ != nullptr) events_counter_->inc(tally_fired_);
+    if (lag_histogram_ != nullptr) {
+      lag_histogram_->add_tallies(tally_lag_buckets_, tally_fired_, tally_lag_sum_milli_);
+      std::fill(tally_lag_buckets_.begin(), tally_lag_buckets_.end(), 0);
+      tally_lag_sum_milli_ = 0;
+    }
+    tally_fired_ = 0;
   }
-  tally_fired_ = 0;
+  for (const auto& [owner, publish] : publishers_) publish();
+}
+
+void Simulator::add_metrics_publisher(const void* owner, std::function<void()> publish) {
+  publishers_.emplace_back(owner, std::move(publish));
+}
+
+void Simulator::remove_metrics_publisher(const void* owner) {
+  std::erase_if(publishers_, [owner](const auto& entry) { return entry.first == owner; });
 }
 
 std::size_t Simulator::run(std::size_t limit) {

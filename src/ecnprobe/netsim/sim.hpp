@@ -121,8 +121,16 @@ public:
   /// publish_metrics() is called. A reader that snapshots the registry
   /// from inside a callback must call publish_metrics() first.
   void set_metrics(obs::Counter* events_fired, obs::Histogram* event_lag_ms);
-  /// Adds the tallies gathered since the last publish to the instruments.
+  /// Adds the tallies gathered since the last publish to the instruments,
+  /// then runs every registered publisher.
   void publish_metrics();
+
+  /// Registers another local tallier (the Network's datapath counters) to
+  /// publish under the same rule: `publish` runs from every
+  /// publish_metrics(), so also whenever run()/run_until() exits. `owner`
+  /// keys the registration and must remove it before it is destroyed.
+  void add_metrics_publisher(const void* owner, std::function<void()> publish);
+  void remove_metrics_publisher(const void* owner);
 
 private:
   bool fire_next();
@@ -143,6 +151,7 @@ private:
   std::vector<double> lag_bounds_;
   std::vector<std::uint64_t> tally_lag_buckets_;
   std::int64_t tally_lag_sum_milli_ = 0;
+  std::vector<std::pair<const void*, std::function<void()>>> publishers_;
 
   // A Simulator is single-threaded by design; with campaign shards running
   // one Simulator per worker, this catches accidental cross-thread sharing.

@@ -77,13 +77,17 @@ NodeId Internet::add_router(AsInfo& as, const TopologyParams& params) {
   auto router = std::make_unique<netsim::Router>(
       name, router_params, rng_.fork(name));
   const NodeId id = net_.add_node(std::move(router));
+  if (id != router_asn_.size()) {
+    throw std::logic_error("Internet::add_router: routers must take NodeIds 0..R-1");
+  }
   // Router addresses come from the AS block, so traceroute responders map to
   // the right AS.
   const std::uint32_t block_size = 1u << (32 - as.prefix_len);
   std::uint32_t& cursor = next_host_addr_[as.asn];
   if (cursor >= block_size - 1) throw std::runtime_error("router address exhausted");
   net_.node(id).set_address(wire::Ipv4Address{as.prefix.value() + ++cursor});
-  router_of_[id] = as.asn;
+  router_asn_.push_back(as.asn);
+  adjacency_.emplace_back();
   as.routers.push_back(id);
   return id;
 }
@@ -91,7 +95,10 @@ NodeId Internet::add_router(AsInfo& as, const TopologyParams& params) {
 void Internet::connect_routers(NodeId a, NodeId b, const LinkParams& link, bool inter_as,
                                Asn asn_a, Asn asn_b) {
   const auto [if_a, if_b] = net_.connect(a, b, link);
-  if (adjacency_.size() <= std::max(a, b)) adjacency_.resize(std::max(a, b) + 1);
+  // Next-hop rows store router-to-router egress interfaces as int16_t.
+  if (std::max(if_a, if_b) > INT16_MAX) {
+    throw std::length_error("Internet::connect_routers: router interface index exceeds int16");
+  }
   adjacency_[a].push_back({b, if_a});
   adjacency_[b].push_back({a, if_b});
   const auto key = [](NodeId n, int i) {
@@ -277,23 +284,29 @@ bool Internet::is_inter_as_interface(NodeId node, int if_index) const {
   return it != inter_as_if_.end() && it->second;
 }
 
-const std::vector<std::int32_t>& Internet::tree_toward(NodeId dest_router) {
-  if (dest_router >= trees_.size()) trees_.resize(net_.node_count());
-  std::vector<std::int32_t>& tree = trees_[dest_router];
-  if (!tree.empty()) return tree;
+std::size_t Internet::route_table_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& row : next_hop_rows_) bytes += row.capacity() * sizeof(std::int16_t);
+  return bytes;
+}
+
+const std::vector<std::int16_t>& Internet::row_toward(NodeId dest_router) {
+  const std::size_t routers = router_asn_.size();
+  if (next_hop_rows_.empty()) next_hop_rows_.resize(routers);
+  std::vector<std::int16_t>& row = next_hop_rows_[dest_router];
+  if (!row.empty()) return row;
 
   // BFS outward from the destination router. For each router reached from
   // `u` over an edge, the next hop toward the destination is the reverse
-  // interface of that edge. adjacency_ stores, per node, (peer, if_on_node);
+  // interface of that edge. adjacency_ stores, per router, (peer, if_on_node);
   // when expanding u via (v, if_u) we need v's interface back to u -- so the
   // relaxation iterates v's own adjacency entries instead.
-  std::vector<std::int32_t> egress(net_.node_count(), kNoInterface);
-  std::vector<char> visited(net_.node_count(), 0);
+  std::vector<std::int16_t> egress(routers, static_cast<std::int16_t>(kNoInterface));
+  std::vector<char> visited(routers, 0);
   std::vector<NodeId> frontier{dest_router};  // FIFO: frontier[head..] is queued
   visited[dest_router] = 1;
   for (std::size_t head = 0; head < frontier.size(); ++head) {
     const NodeId u = frontier[head];
-    if (u >= adjacency_.size()) continue;
     for (const auto& [v, if_u] : adjacency_[u]) {
       if (visited[v]) continue;
       // Down links are invisible to routing (links are symmetric, so
@@ -303,30 +316,30 @@ const std::vector<std::int32_t>& Internet::tree_toward(NodeId dest_router) {
       // Find v's interface toward u.
       for (const auto& [w, if_v] : adjacency_[v]) {
         if (w == u) {
-          egress[v] = if_v;
+          egress[v] = static_cast<std::int16_t>(if_v);
           break;
         }
       }
       frontier.push_back(v);
     }
   }
-  tree = std::move(egress);
-  return tree;
+  row = std::move(egress);
+  return row;
 }
 
 int Internet::route_oracle(NodeId at, wire::Ipv4Address dst) {
+  // Only routers forward; a host asking for a next hop has none.
+  if (at >= router_asn_.size()) return kNoInterface;
   NodeId dest_router = kInvalidNode;
   if (const Attachment* attachment = attachment_of(dst)) {
     if (at == attachment->router) return attachment->router_if;
     dest_router = attachment->router;
   } else {
     const NodeId node = net_.find_by_address(dst);
-    if (node == kInvalidNode || !router_of_.contains(node)) return kNoInterface;
+    if (node >= router_asn_.size()) return kNoInterface;
     dest_router = node;
   }
-  const auto& tree = tree_toward(dest_router);
-  if (at >= tree.size()) return kNoInterface;
-  return tree[at];
+  return row_toward(dest_router)[at];
 }
 
 }  // namespace ecnprobe::topology

@@ -1,7 +1,7 @@
 // Synthetic Internet topology: a three-tier AS graph (global transit,
 // regional transit, stub/access networks) with a handful of routers per AS,
 // inter-AS links between border routers, address allocation per AS, and a
-// routing oracle backed by per-destination shortest-path trees. This is the
+// routing oracle backed by per-destination next-hop rows. This is the
 // substrate the measurement campaign runs over; the scenario module places
 // middleboxes on its interfaces.
 #pragma once
@@ -105,21 +105,24 @@ public:
 
   /// Ground-truth AS of a router node.
   std::optional<Asn> asn_of_router(netsim::NodeId node) const {
-    const auto it = router_of_.find(node);
-    if (it == router_of_.end()) return std::nullopt;
-    return it->second;
+    if (node >= router_asn_.size()) return std::nullopt;
+    return router_asn_[node];
   }
   const IpToAsMap& ip2as() const { return ip2as_; }
 
   /// Ground truth: is the link out of (node, if) an inter-AS link?
   bool is_inter_as_interface(netsim::NodeId node, int if_index) const;
 
-  /// Drops all cached shortest-path trees. Call after changing link state
+  /// Drops all cached next-hop rows. Call after changing link state
   /// (set_link_up) so traffic reroutes around failures -- the mechanism
-  /// behind route-change experiments. Tree construction skips down links.
-  void invalidate_routes() { trees_.clear(); }
+  /// behind route-change experiments. Row construction skips down links.
+  void invalidate_routes() { next_hop_rows_.clear(); }
 
-  std::size_t router_count() const { return router_of_.size(); }
+  std::size_t router_count() const { return router_asn_.size(); }
+
+  /// Bytes held by the next-hop rows built so far: at most
+  /// router_count()^2 * sizeof(int16_t), and 0 right after invalidate_routes().
+  std::size_t route_table_bytes() const;
 
 private:
   Internet(netsim::Simulator& sim, util::Rng rng);
@@ -130,7 +133,7 @@ private:
   void connect_routers(netsim::NodeId a, netsim::NodeId b, const netsim::LinkParams& link,
                        bool inter_as, Asn asn_a, Asn asn_b);
   int route_oracle(netsim::NodeId at, wire::Ipv4Address dst);
-  const std::vector<std::int32_t>& tree_toward(netsim::NodeId dest_router);
+  const std::vector<std::int16_t>& row_toward(netsim::NodeId dest_router);
 
   netsim::Simulator& sim_;
   util::Rng rng_;
@@ -140,10 +143,12 @@ private:
   std::map<Asn, std::size_t> as_index_;
   std::map<Asn, std::uint32_t> next_host_addr_;  ///< allocation cursor per AS
 
-  // Router-graph adjacency for BFS, indexed by NodeId: per node,
-  // (neighbor, egress_if) pairs in connection order.
+  // build_graph adds every router before any host, so routers are exactly
+  // NodeIds 0..router_count()-1 and router-only tables index by NodeId.
+  // Router-graph adjacency for BFS: per router, (neighbor, egress_if) pairs
+  // in connection order.
   std::vector<std::vector<std::pair<netsim::NodeId, int>>> adjacency_;
-  std::map<netsim::NodeId, Asn> router_of_;
+  std::vector<Asn> router_asn_;
 
   std::vector<InterAsLink> inter_as_links_;
   std::vector<InterfaceRef> intra_as_interfaces_;
@@ -151,11 +156,12 @@ private:
 
   std::unordered_map<std::uint32_t, Attachment> attachments_;  ///< host addr -> attachment
 
-  // Per-destination-router shortest-path trees, indexed by the destination
-  // router's NodeId and built on first use (empty = not built yet): egress
-  // interface index on every node toward that router; kNoInterface if
-  // unreachable.
-  std::vector<std::vector<std::int32_t>> trees_;
+  // Per-destination-router next-hop rows, indexed by the destination
+  // router's NodeId and built on first use (empty = not built yet): the
+  // shortest-path egress interface on every router toward that router;
+  // kNoInterface if unreachable. Hosts never route, so a row spans routers
+  // only, 2 bytes per router.
+  std::vector<std::vector<std::int16_t>> next_hop_rows_;
 
   IpToAsMap ip2as_;
 };

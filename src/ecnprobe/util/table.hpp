@@ -41,8 +41,11 @@ public:
 
   void write_row(const std::vector<std::string>& cells);
 
-private:
+  /// One cell as write_row emits it: RFC 4180-quoted when it holds a comma,
+  /// quote or line break, verbatim otherwise.
   static std::string escape(const std::string& cell);
+
+private:
   std::ostream& os_;
 };
 

@@ -28,8 +28,22 @@ util::Expected<Ipv4Address> Ipv4Address::parse(std::string_view text) {
 }
 
 std::string Ipv4Address::to_string() const {
-  return util::strf("%u.%u.%u.%u", (addr_ >> 24) & 0xff, (addr_ >> 16) & 0xff,
-                    (addr_ >> 8) & 0xff, addr_ & 0xff);
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Ipv4Address::append_to(std::string& out) const {
+  char text[15];  // "255.255.255.255"
+  char* end = text;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    const auto octet = static_cast<unsigned>((addr_ >> shift) & 0xff);
+    if (octet >= 100) *end++ = static_cast<char>('0' + octet / 100);
+    if (octet >= 10) *end++ = static_cast<char>('0' + octet / 10 % 10);
+    *end++ = static_cast<char>('0' + octet % 10);
+    if (shift != 0) *end++ = '.';
+  }
+  out.append(text, end);
 }
 
 std::string_view to_string(IpProto p) {

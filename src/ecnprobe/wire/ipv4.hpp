@@ -29,6 +29,8 @@ public:
 
   constexpr std::uint32_t value() const { return addr_; }
   std::string to_string() const;
+  /// Appends the dotted quad to `out` (the bulk-export form of to_string).
+  void append_to(std::string& out) const;
 
   constexpr bool is_unspecified() const { return addr_ == 0; }
 

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "ecnprobe/measure/results.hpp"
+#include "ecnprobe/util/table.hpp"
 
 namespace ecnprobe::measure {
 namespace {
@@ -92,6 +93,47 @@ TEST(ResultsCsv, SkipsBlankLines) {
   const auto loaded = read_traces_csv(is);
   ASSERT_TRUE(loaded);
   EXPECT_EQ(loaded->size(), 1u);
+}
+
+TEST(ResultsCsv, ByteIdenticalToCsvWriterRows) {
+  // The exporter builds rows by hand; they must stay exactly what
+  // util::CsvWriter gives for the same cells, quoting included, also past
+  // the exporter's internal flush size.
+  std::vector<Trace> traces = {make_trace("plain", 1, 0),
+                               make_trace("comma, \"quoted\" vantage", 2, 210),
+                               make_trace("", 1, -3)};
+  traces[0].servers[1].tcp_plain.http_status = -1;
+  traces[0].servers[1].udp_ect0.attempts = 2147483647;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    ServerResult s;
+    s.server = wire::Ipv4Address(i * 2654435761u);
+    s.udp_plain.reachable = i % 2 == 0;
+    s.udp_plain.attempts = static_cast<int>(i % 6);
+    s.tcp_ecn.http_status = static_cast<int>(i % 600);
+    traces[2].servers.push_back(s);
+  }
+
+  std::ostringstream expected;
+  util::CsvWriter csv(expected);
+  csv.write_row({"vantage", "batch", "trace", "server", "udp_plain", "udp_plain_tries",
+                 "udp_ect0", "udp_ect0_tries", "tcp_conn", "tcp_resp", "tcp_status",
+                 "tcpecn_conn", "tcpecn_negotiated", "tcpecn_resp", "tcpecn_status"});
+  const auto flag = [](bool b) { return std::string(b ? "1" : "0"); };
+  for (const auto& trace : traces) {
+    for (const auto& s : trace.servers) {
+      csv.write_row({trace.vantage, std::to_string(trace.batch), std::to_string(trace.index),
+                     s.server.to_string(), flag(s.udp_plain.reachable),
+                     std::to_string(s.udp_plain.attempts), flag(s.udp_ect0.reachable),
+                     std::to_string(s.udp_ect0.attempts), flag(s.tcp_plain.connected),
+                     flag(s.tcp_plain.got_response), std::to_string(s.tcp_plain.http_status),
+                     flag(s.tcp_ecn.connected), flag(s.tcp_ecn.ecn_negotiated),
+                     flag(s.tcp_ecn.got_response), std::to_string(s.tcp_ecn.http_status)});
+    }
+  }
+  std::ostringstream actual;
+  write_traces_csv(actual, traces);
+  EXPECT_GT(actual.str().size(), std::size_t{1} << 17);
+  EXPECT_EQ(actual.str(), expected.str());
 }
 
 }  // namespace

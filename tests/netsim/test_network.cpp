@@ -118,5 +118,148 @@ TEST(Network, IpIdMonotone) {
   EXPECT_EQ(net.next_ip_id(), static_cast<std::uint16_t>(first + 1));
 }
 
+// -- datapath tallies ----------------------------------------------------------
+//
+// The Network counts transmitted, delivered and duplicated packets only in
+// stats(); the registry's net_packets_*_total counters catch up whenever
+// the simulator publishes (run()/run_until() exit, publish_metrics()) and
+// before set_observability() swaps the registry.
+
+/// Duplicates every packet it passes: exercises the duplicated counter.
+class DuplicateAll final : public PacketPolicy {
+public:
+  std::string name() const override { return "duplicate-all"; }
+  bool take_duplicate() override { return true; }
+
+protected:
+  PolicyAction do_apply(wire::Datagram&, util::Rng&, util::SimTime) override {
+    return PolicyAction::Pass;
+  }
+};
+
+struct Tallies {
+  std::uint64_t transmitted = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t duplicated = 0;
+  bool operator==(const Tallies&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Tallies& t) {
+  return os << "{tx " << t.transmitted << ", delivered " << t.delivered << ", dup "
+            << t.duplicated << "}";
+}
+
+Tallies published(obs::Observability& obs) {
+  return {obs.registry.counter("net_packets_transmitted_total")->value(),
+          obs.registry.counter("net_packets_delivered_total")->value(),
+          obs.registry.counter("net_packets_duplicated_total")->value()};
+}
+
+Tallies tallied(const Network& net) {
+  return {net.stats().packets_transmitted, net.stats().delivered, net.stats().duplicated};
+}
+
+/// A two-router chain whose host B echoes every datagram on port 7 and
+/// whose host A duplicates everything it sends.
+struct TallyChain {
+  obs::Observability obs;
+  Chain chain{2};
+  std::shared_ptr<UdpSocket> echo = chain.host_b->open_udp(7);
+  std::shared_ptr<UdpSocket> client = chain.host_a->open_udp();
+
+  TallyChain() {
+    chain.net.set_observability(&obs);
+    chain.net.add_egress_policy(chain.host_a_id, 0, std::make_shared<DuplicateAll>());
+    echo->set_receive_handler([this](const UdpDelivery& d) {
+      echo->send(d.src, d.src_port, d.payload, wire::Ecn::NotEct);
+    });
+  }
+
+  void send(int n = 1) {
+    for (int i = 0; i < n; ++i) {
+      client->send(chain.host_b->address(), 7, {}, wire::Ecn::Ect0);
+    }
+  }
+};
+
+TEST(NetworkTallies, RunRunLimitAndRunUntilPublishOnReturn) {
+  TallyChain t;
+  t.send(3);
+  EXPECT_EQ(published(t.obs), Tallies{}) << "sends outside a run stay local";
+  t.chain.sim.run(4);
+  EXPECT_EQ(published(t.obs), tallied(t.chain.net));
+  t.chain.sim.run_until(SimTime::zero() + 3_ms);
+  EXPECT_EQ(published(t.obs), tallied(t.chain.net));
+  t.chain.sim.run();
+  const Tallies done = tallied(t.chain.net);
+  EXPECT_EQ(published(t.obs), done);
+  EXPECT_GT(done.duplicated, 0u);
+  EXPECT_GT(done.delivered, done.duplicated);
+  t.chain.sim.run();  // nothing new: publishing again adds nothing
+  EXPECT_EQ(published(t.obs), done);
+}
+
+TEST(NetworkTallies, IdleCallbackSeesEveryHopAfterPublishMetrics) {
+  TallyChain t;
+  t.send(2);
+  bool checked = false;
+  t.chain.sim.schedule_when_idle([&] {
+    // A mid-run reader (the sequential executor's trace commit) publishes
+    // before it snapshots.
+    t.chain.sim.publish_metrics();
+    EXPECT_EQ(published(t.obs), tallied(t.chain.net));
+    checked = true;
+    t.send(2);
+  });
+  t.chain.sim.run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(published(t.obs), tallied(t.chain.net));
+}
+
+TEST(NetworkTallies, ThrowingCallbackStillPublishes) {
+  TallyChain t;
+  t.echo->set_receive_handler([](const UdpDelivery&) { throw std::runtime_error("boom"); });
+  t.send(1);
+  EXPECT_THROW(t.chain.sim.run(), std::runtime_error);
+  EXPECT_GT(tallied(t.chain.net).delivered, 0u);
+  EXPECT_EQ(published(t.obs), tallied(t.chain.net));
+  t.chain.sim.clear_pending();
+}
+
+TEST(NetworkTallies, SwappingObservabilityLeavesEarlierCountsInTheOldRegistry) {
+  obs::Observability next;  // outlives the network that reports into it
+  TallyChain t;
+  t.send(2);
+  t.chain.sim.run();
+  t.send(1);  // tallied, not yet published
+  const Tallies before_swap = tallied(t.chain.net);
+  t.chain.net.set_observability(&next);
+  EXPECT_EQ(published(t.obs), before_swap);
+  EXPECT_EQ(published(next), Tallies{});
+  t.chain.sim.run();
+  const Tallies after = tallied(t.chain.net);
+  EXPECT_EQ(published(t.obs), before_swap) << "the old registry stops counting";
+  EXPECT_EQ(published(next).transmitted, after.transmitted - before_swap.transmitted);
+  EXPECT_EQ(published(next).delivered, after.delivered - before_swap.delivered);
+  EXPECT_EQ(published(next).duplicated, after.duplicated - before_swap.duplicated);
+}
+
+TEST(NetworkTallies, NetworkDestroyedBeforeSimulatorUnregisters) {
+  Simulator sim;
+  obs::Observability obs;
+  {
+    Network net(sim, util::Rng(1));
+    net.set_observability(&obs);
+  }
+  // A dangling publisher would be called here (and trip ASan).
+  sim.publish_metrics();
+  sim.schedule(1_ms, [] {});
+  EXPECT_EQ(sim.run(), 1u);
+  Network next(sim, util::Rng(2));
+  next.set_observability(&obs);
+  sim.publish_metrics();
+  EXPECT_EQ(published(obs), Tallies{});
+}
+
 }  // namespace
 }  // namespace ecnprobe::netsim

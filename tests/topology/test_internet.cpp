@@ -290,5 +290,43 @@ TEST_F(InternetTest, RouteMatchesReferenceBfsForEveryRouterAndAddress) {
   check_all();
 }
 
+TEST_F(InternetTest, RouteTablesSpanRoutersOnlyAndStayLazy) {
+  std::vector<std::pair<wire::Ipv4Address, Internet::Attachment>> hosts;
+  for (const auto asn : internet->stub_ases()) {
+    auto host = std::make_unique<netsim::Host>("h" + std::to_string(asn),
+                                               netsim::Host::Params{}, util::Rng(asn));
+    netsim::Host* raw = host.get();
+    const auto attachment = internet->attach_host(asn, std::move(host), netsim::LinkParams{});
+    hosts.emplace_back(raw->address(), attachment);
+  }
+  EXPECT_EQ(internet->route_table_bytes(), 0u) << "no row is built before it is asked for";
+
+  auto& net = internet->net();
+  const std::size_t routers = internet->router_count();
+  ASSERT_LT(routers, net.node_count());  // hosts are nodes too, but never route
+  for (netsim::NodeId at = 0; at < routers; ++at) {
+    for (const auto& [address, attachment] : hosts) net.route(at, address);
+  }
+  EXPECT_GT(internet->route_table_bytes(), 0u);
+  EXPECT_LE(internet->route_table_bytes(), routers * routers * sizeof(std::int16_t));
+  // Toward every router as well: one row per router, one entry per router.
+  for (netsim::NodeId at = 0; at < routers; ++at) {
+    for (netsim::NodeId dest = 0; dest < routers; ++dest) {
+      net.route(at, net.node(dest).address());
+    }
+  }
+  EXPECT_EQ(internet->route_table_bytes(), routers * routers * sizeof(std::int16_t));
+
+  // Hosts have no next-hop entry, toward hosts or routers alike.
+  for (const auto& [address, attachment] : hosts) {
+    EXPECT_EQ(net.route(attachment.host, hosts.back().first), netsim::kNoInterface);
+    EXPECT_EQ(net.route(attachment.host, net.node(attachment.router).address()),
+              netsim::kNoInterface);
+  }
+
+  internet->invalidate_routes();
+  EXPECT_EQ(internet->route_table_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace ecnprobe::topology

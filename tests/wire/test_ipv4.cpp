@@ -22,10 +22,14 @@ TEST(Ipv4Address, ParseRejectsMalformed) {
 }
 
 TEST(Ipv4Address, RoundTripsAllOctetBoundaries) {
-  for (const char* s : {"0.0.0.0", "255.255.255.255", "1.0.0.1", "10.255.0.128"}) {
+  for (const char* s : {"0.0.0.0", "255.255.255.255", "1.0.0.1", "10.255.0.128",
+                        "9.99.100.109"}) {
     const auto addr = Ipv4Address::parse(s);
     ASSERT_TRUE(addr);
     EXPECT_EQ(addr->to_string(), s);
+    std::string appended = "x";
+    addr->append_to(appended);
+    EXPECT_EQ(appended, std::string("x") + s);
   }
 }
 
