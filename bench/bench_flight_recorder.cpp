@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   const double armed_s = watch.seconds();
   const auto& events = world.campaign_flights();
   std::printf("  recorder armed:    %6.2f s, %zu events (%.0f events/s)\n", armed_s,
-              events.size(), events.size() / (armed_s > 0 ? armed_s : 1));
+              events.size(),
+              static_cast<double>(events.size()) / (armed_s > 0 ? armed_s : 1));
   std::printf("  recording overhead: %+.1f%%\n",
               disarmed_s > 0 ? (armed_s / disarmed_s - 1.0) * 100.0 : 0.0);
 
@@ -45,13 +46,14 @@ int main(int argc, char** argv) {
     bench::Stopwatch export_watch;
     const auto packets = obs::write_pcapng(os, events);
     std::printf("  pcapng export:     %6.3f s, %zu packets, %.1f MB\n",
-                export_watch.seconds(), packets, os.str().size() / 1e6);
+                export_watch.seconds(), packets,
+                static_cast<double>(os.str().size()) / 1e6);
   }
   {
     bench::Stopwatch export_watch;
     const auto json = obs::to_chrome_trace_json(events);
     std::printf("  trace-json export: %6.3f s, %.1f MB\n", export_watch.seconds(),
-                json.size() / 1e6);
+                static_cast<double>(json.size()) / 1e6);
   }
   return 0;
 }

@@ -58,8 +58,8 @@ void Host::send_datagram(wire::Datagram dgram) {
   // staged a send which never reaches the wire must not leak its pending
   // state into the next unrelated send.
   auto* recorder = net_ != nullptr ? &net_->obs().recorder : nullptr;
-  const auto pending =
-      recorder != nullptr && recorder->armed() ? recorder->take_pending() : std::nullopt;
+  std::optional<obs::FlightRecorder::PendingSend> pending;
+  if (recorder != nullptr && recorder->armed()) pending = recorder->take_pending();
   if (net_ == nullptr || net_->interface_count(id()) == 0) return;
   dgram.set_identification(net_->next_ip_id());
   if (pending) {

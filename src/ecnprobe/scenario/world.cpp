@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 #include "ecnprobe/chaos/policies.hpp"
@@ -777,12 +778,17 @@ std::vector<measure::TracerouteObservation> World::run_traceroutes(
   // study pipelines print identical Figure 4 sections.
   net().begin_epoch(util::derive_seed(params_.seed, "traceroute-epoch"));
   std::vector<measure::TracerouteObservation> all;
+  // One observation per (vantage, server, repetition); the runner records
+  // one per server even when asked for none.
+  all.reserve(vantage_names_.size() * servers_.size() *
+              static_cast<std::size_t>(std::max(repetitions, 1)));
   for (const auto& name : vantage_names_) {
     measure::TracerouteRunner runner(vantage(name), server_addresses(), options,
                                      repetitions);
     bool done = false;
     runner.run([&](std::vector<measure::TracerouteObservation> observations) {
-      for (auto& obs : observations) all.push_back(std::move(obs));
+      all.insert(all.end(), std::make_move_iterator(observations.begin()),
+                 std::make_move_iterator(observations.end()));
       done = true;
     });
     sim_.run();

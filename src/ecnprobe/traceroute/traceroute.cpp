@@ -101,7 +101,7 @@ void Tracerouter::send_probe(const std::shared_ptr<Trace>& trace) {
                  util::strf("ttl=%d silent after %d probes", trace->ttl, trace->attempt));
     }
     HopRecord hop;
-    hop.ttl = trace->ttl;
+    hop.ttl = static_cast<std::uint8_t>(trace->ttl);
     hop.responded = false;
     hop.sent_ecn = trace->options.ecn;
     hop_done(trace, hop);
@@ -144,7 +144,7 @@ void Tracerouter::on_icmp(const wire::Datagram& dgram) {
   if (trace->done) return;
 
   HopRecord hop;
-  hop.ttl = trace->ttl;
+  hop.ttl = static_cast<std::uint8_t>(trace->ttl);
   hop.responded = true;
   hop.responder = dgram.ip.src;
   hop.sent_ecn = trace->options.ecn;

@@ -6,6 +6,7 @@
 // tracebox, and Malone & Luckie's ICMP-quotation analysis.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -28,20 +29,23 @@ struct TracerouteOptions {
   void validate() const;
 };
 
+/// One probed TTL, packed into 8 bytes: a paper-shape Figure 4 run keeps
+/// ~766k of these alive until the hop analysis has read them.
 struct HopRecord {
-  int ttl = 0;
-  bool responded = false;
   wire::Ipv4Address responder;        ///< ICMP source (the router)
+  std::uint8_t ttl = 0;               ///< TracerouteOptions bounds max_ttl to [1, 255]
   wire::Ecn sent_ecn = wire::Ecn::NotEct;
   wire::Ecn quoted_ecn = wire::Ecn::NotEct;  ///< ECN field in the quotation
+  bool responded : 1 = false;
   /// False when the quote was cut before the ToS/ECN octet: the hop
   /// responded but its ECN field is unobserved -- it must not be
   /// classified as bleached (or intact) on this evidence.
-  bool ecn_known = true;
-  bool quote_truncated = false;  ///< quote shorter than the full inner header
+  bool ecn_known : 1 = true;
+  bool quote_truncated : 1 = false;  ///< quote shorter than the full inner header
   /// True when the quoted ECN field was observed and equals what we sent.
   bool ecn_intact() const { return responded && ecn_known && quoted_ecn == sent_ecn; }
 };
+static_assert(sizeof(HopRecord) == 8, "HopRecord is kept in bulk; keep it packed");
 
 struct PathRecord {
   wire::Ipv4Address destination;

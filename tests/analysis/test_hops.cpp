@@ -12,7 +12,7 @@ using traceroute::PathRecord;
 HopRecord hop(int ttl, std::uint8_t responder_octet, wire::Ecn quoted,
               wire::Ecn sent = wire::Ecn::Ect0) {
   HopRecord h;
-  h.ttl = ttl;
+  h.ttl = static_cast<std::uint8_t>(ttl);
   h.responded = responder_octet != 0;
   h.responder = wire::Ipv4Address(12, 0, 0, responder_octet);
   h.sent_ecn = sent;

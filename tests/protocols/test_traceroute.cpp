@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "../netsim/mini_net.hpp"
 #include "ecnprobe/chaos/policies.hpp"
 
@@ -88,6 +90,65 @@ TEST(Traceroute, StopsOneHopBeforeSilentDestination) {
   // 3 responding router hops, then silence.
   EXPECT_EQ(record->responding_hops(), 3);
   EXPECT_EQ(record->hops.back().responded, false);
+}
+
+TEST(Traceroute, MaxTtl255RecordsEveryTtl) {
+  // The widest TTL the options allow must survive the 8-bit HopRecord::ttl.
+  Chain chain(2);
+  Tracerouter tracer(*chain.host_a);
+  std::optional<PathRecord> record;
+  auto options = fast_options();
+  options.max_ttl = 255;
+  options.probes_per_hop = 1;
+  options.stop_after_silent = 255;
+  tracer.trace(chain.host_b->address(), options,
+               [&](const PathRecord& r) { record = r; });
+  chain.sim.run();
+  ASSERT_TRUE(record);
+  ASSERT_EQ(record->hops.size(), 255u);
+  for (std::size_t i = 0; i < record->hops.size(); ++i) {
+    EXPECT_EQ(static_cast<std::size_t>(record->hops[i].ttl), i + 1);
+  }
+  EXPECT_EQ(record->hops.back().ttl, 255);
+  EXPECT_EQ(record->responding_hops(), 2);
+}
+
+TEST(HopRecord, DefaultFlags) {
+  const HopRecord hop;
+  EXPECT_FALSE(hop.responded);
+  EXPECT_TRUE(hop.ecn_known);
+  EXPECT_FALSE(hop.quote_truncated);
+  EXPECT_EQ(hop.ttl, 0);
+  EXPECT_EQ(hop.sent_ecn, wire::Ecn::NotEct);
+  EXPECT_EQ(hop.quoted_ecn, wire::Ecn::NotEct);
+}
+
+TEST(HopRecord, FlagsSetAndClearIndependently) {
+  HopRecord hop;
+  hop.responder = wire::Ipv4Address(12, 0, 0, 7);
+  hop.ttl = 200;
+  hop.sent_ecn = wire::Ecn::Ect0;
+  hop.quoted_ecn = wire::Ecn::Ce;
+  const auto flags = [](const HopRecord& h) {
+    return std::array<bool, 3>{h.responded, h.ecn_known, h.quote_truncated};
+  };
+  hop.responded = true;
+  EXPECT_EQ(flags(hop), (std::array<bool, 3>{true, true, false}));
+  hop.ecn_known = false;
+  EXPECT_EQ(flags(hop), (std::array<bool, 3>{true, false, false}));
+  hop.quote_truncated = true;
+  EXPECT_EQ(flags(hop), (std::array<bool, 3>{true, false, true}));
+  hop.responded = false;
+  EXPECT_EQ(flags(hop), (std::array<bool, 3>{false, false, true}));
+  hop.ecn_known = true;
+  EXPECT_EQ(flags(hop), (std::array<bool, 3>{false, true, true}));
+  hop.quote_truncated = false;
+  EXPECT_EQ(flags(hop), (std::array<bool, 3>{false, true, false}));
+  // The neighbouring fields are untouched by the flag writes.
+  EXPECT_EQ(hop.responder, wire::Ipv4Address(12, 0, 0, 7));
+  EXPECT_EQ(hop.ttl, 200);
+  EXPECT_EQ(hop.sent_ecn, wire::Ecn::Ect0);
+  EXPECT_EQ(hop.quoted_ecn, wire::Ecn::Ce);
 }
 
 TEST(Traceroute, DestinationPortUnreachableEndsTrace) {
