@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     bench::Stopwatch timer;
     scenario::World world(params);
     std::vector<measure::TraceFailure> failures;
-    const auto traces = world.run_campaign(plan, {}, nullptr, nullptr, 0, &failures);
+    const auto traces = world.run_campaign(plan, {}, nullptr, 0, &failures);
     const double seconds = timer.seconds();
     if (profile == "none") clean_seconds = seconds;
     const auto csv = traces_csv(traces);
@@ -83,13 +83,13 @@ int main(int argc, char** argv) {
     // Reproducibility: the same (profile, seed) must rebuild the same bytes.
     scenario::World again(params);
     std::vector<measure::TraceFailure> again_failures;
-    const auto rerun = again.run_campaign(plan, {}, nullptr, nullptr, 0, &again_failures);
+    const auto rerun = again.run_campaign(plan, {}, nullptr, 0, &again_failures);
     const bool reproducible = traces_csv(rerun) == csv &&
                               obs::encode_obs(again.campaign_obs()) == obs_bytes &&
                               again_failures.size() == failures.size();
 
     // Parallelism: sharding must not change the faulted output either.
-    std::vector<measure::ParallelCampaign::TraceFailure> par_failures;
+    std::vector<measure::TraceFailure> par_failures;
     obs::ObsSnapshot par_obs;
     const auto par = run_parallel_campaign(params, plan, {}, workers, &par_failures,
                                            &par_obs);

@@ -1,10 +1,11 @@
-// Serial-vs-parallel campaign executor comparison: runs the paper's trace
-// layout once through the sequential World::run_campaign path and once
-// through the sharded ParallelCampaign at increasing worker counts, then
-// checks that every parallel run's merged results CSV *and* merged campaign
-// metrics are byte-identical to the sequential one while reporting the
-// wall-clock speedup and per-worker utilization (busy time as a fraction of
-// workers x wall time, from the worker_busy_micros_total runtime counters).
+// Worker-count sweep of the campaign executor: runs the paper's trace
+// layout once through World::run_campaign (one worker, on this thread, on
+// a lent world) and once through ParallelCampaign over fresh clones at
+// increasing worker counts, then checks that every run's merged results
+// CSV *and* merged campaign metrics are byte-identical to the first while
+// reporting the wall-clock speedup and per-worker utilization (busy time as
+// a fraction of workers x wall time, from the worker_busy_micros_total
+// runtime counters).
 // This is the executable form of the determinism contract in
 // tests/measure/test_parallel_campaign.cpp at study scale.
 //

@@ -14,10 +14,10 @@
 //   $ ./ntp_pool_study --timeseries 500              # 500 ms sim-time series windows
 //   $ ./ntp_pool_study --serve-obs 9100 --workers=4  # live /metrics /progress /events
 //
-// --workers=N runs the campaign through the sharded parallel executor
-// (one isolated world clone per worker); the merged results -- and the
-// campaign metrics/drop-ledger in --metrics-out -- are byte-identical to
-// the sequential run, just faster on a multicore box. --faults injects a
+// --workers=N shards the campaign over N workers: worker 0 runs on the
+// study's own world, the others on isolated clones; the merged results --
+// and the campaign metrics/drop-ledger in --metrics-out -- are
+// byte-identical at any N, just faster on a multicore box. --faults injects a
 // named fault profile (see docs/robustness.md); --checkpoint journals
 // every completed trace so a killed run resumes byte-identically with
 // --resume; --halt-after N simulates the kill.
@@ -113,9 +113,6 @@ int main(int argc, char** argv) {
   params.timeseries = *timeseries_config;
   measure::ProbeOptions probe;
   probe.sched = *sched;
-  if (!probe.sched.is_paper_default() && probe.sched.seed == 0) {
-    probe.sched.seed = params.seed;
-  }
   if (!record.empty()) params.flight_recorder_capacity = 1 << 16;
   std::printf("== ECN-with-UDP measurement study (scale %.2f: %d servers) ==\n\n",
               scale, params.server_count);
@@ -166,63 +163,48 @@ int main(int argc, char** argv) {
     }
   }
 
-  obs::ObsSnapshot campaign_obs;
-  obs::MetricsSnapshot runtime_metrics;
-  bool have_runtime = false;
-  obs::TelemetryAggregate telemetry;
-  std::vector<measure::Trace> traces;
-  std::vector<measure::TraceFailure> failures;
-  std::vector<obs::FlightEvent> flights;
-  // The live plane serves from ParallelCampaign's thread-safe snapshots,
-  // so --serve-obs routes through the sharded executor even at one worker.
-  if (workers > 1 || serve_obs >= 0) {
-    measure::ParallelCampaign::Options exec;
-    exec.workers = workers;
-    exec.probe = probe;
-    exec.telemetry = params.telemetry.resolved(params.seed);
-    exec.halt_after_traces =
-        halt_after > 0 ? halt_after : params.faults.crash_after_traces;
-    measure::ParallelCampaign campaign(scenario::world_shard_factory(params), exec);
-    if (journal_ptr != nullptr) campaign.set_journal(journal_ptr);
-    std::unique_ptr<http::ObsHttpServer> obs_server;
-    if (serve_obs >= 0) {
-      http::ObsHttpServer::Options server_options;
-      server_options.port = static_cast<std::uint16_t>(serve_obs);
-      http::ObsHttpServer::Providers providers;
-      providers.metrics = [&campaign] {
-        const auto snap = campaign.metrics_snapshot();
-        return obs::to_prometheus(snap.metrics) + obs::to_prometheus(snap.timeseries);
-      };
-      providers.progress = [&campaign] {
-        const auto p = campaign.progress();
-        return std::string("{\"total\":") + std::to_string(p.total) +
-               ",\"completed\":" + std::to_string(p.completed) +
-               ",\"failed\":" + std::to_string(p.failed) +
-               ",\"in_flight\":" + std::to_string(p.in_flight) + "}";
-      };
-      obs_server =
-          std::make_unique<http::ObsHttpServer>(server_options, std::move(providers));
-      std::string error;
-      if (!obs_server->start(&error)) {
-        std::fprintf(stderr, "ntp_pool_study: --serve-obs: %s\n", error.c_str());
-        return 1;
-      }
-      std::printf("      live obs plane: http://127.0.0.1:%u  (/metrics /progress /events)\n",
-                  static_cast<unsigned>(obs_server->port()));
+  // One executor at any --workers N. Worker 0 is this thread and runs on
+  // the study's own (already used) world; the begin-trace epoch reset makes
+  // its traces byte-identical to a fresh clone's.
+  auto exec = scenario::campaign_options(params, probe, workers);
+  exec.halt_after_traces = halt_after > 0 ? halt_after : params.faults.crash_after_traces;
+  measure::ParallelCampaign campaign(scenario::world_shard_factory(world), exec);
+  if (journal_ptr != nullptr) campaign.set_journal(journal_ptr);
+  // The live plane serves from the executor's thread-safe snapshots.
+  std::unique_ptr<http::ObsHttpServer> obs_server;
+  if (serve_obs >= 0) {
+    http::ObsHttpServer::Options server_options;
+    server_options.port = static_cast<std::uint16_t>(serve_obs);
+    http::ObsHttpServer::Providers providers;
+    providers.metrics = [&campaign] {
+      const auto snap = campaign.metrics_snapshot();
+      return obs::to_prometheus(snap.metrics) + obs::to_prometheus(snap.timeseries);
+    };
+    providers.progress = [&campaign] {
+      const auto p = campaign.progress();
+      return std::string("{\"total\":") + std::to_string(p.total) +
+             ",\"completed\":" + std::to_string(p.completed) +
+             ",\"failed\":" + std::to_string(p.failed) +
+             ",\"in_flight\":" + std::to_string(p.in_flight) + "}";
+    };
+    obs_server =
+        std::make_unique<http::ObsHttpServer>(server_options, std::move(providers));
+    std::string error;
+    if (!obs_server->start(&error)) {
+      std::fprintf(stderr, "ntp_pool_study: --serve-obs: %s\n", error.c_str());
+      return 1;
     }
-    traces = campaign.run(plan);
-    failures = campaign.failures();
-    campaign_obs = campaign.metrics();
-    runtime_metrics = campaign.runtime_metrics();
-    have_runtime = true;
-    telemetry = campaign.telemetry();
-    flights = campaign.flight_events();
-  } else {
-    traces = world.run_campaign(plan, probe, nullptr, journal_ptr, halt_after, &failures);
-    campaign_obs = world.campaign_obs();
-    telemetry = world.campaign_telemetry();
-    flights = world.campaign_flights();
+    std::printf("      live obs plane: http://127.0.0.1:%u  (/metrics /progress /events)\n",
+                static_cast<unsigned>(obs_server->port()));
   }
+  const auto traces = campaign.run(plan);
+  const auto& failures = campaign.failures();
+  const auto& campaign_obs = campaign.metrics();
+  const auto& telemetry = campaign.telemetry();
+  const auto& flights = campaign.flight_events();
+  // Worker gauges are wall-clock noise, left out of a one-worker run.
+  const bool have_runtime = workers > 1 || serve_obs >= 0;
+  const auto runtime_metrics = campaign.runtime_metrics();
   if (!record.empty()) {
     if (!obs::write_flight_files(record, flights)) {
       std::fprintf(stderr, "cannot write %s.pcapng / %s.trace.json\n", record.c_str(),

@@ -115,6 +115,13 @@ std::string render_figure4(const HopAnalysis& analysis,
   out << util::strf("  hops where mark seen stripped:          %s (%zu only sometimes)\n",
                     util::with_commas(static_cast<std::int64_t>(analysis.strip_hops)).c_str(),
                     static_cast<std::size_t>(analysis.sometimes_strip));
+  if (analysis.ecn_unknown_hops > 0) {
+    // Only present when an ICMP quote was cut short, so output without
+    // truncated quotes is unchanged.
+    out << util::strf("  hops with ECN unknown (quote truncated): %s\n",
+                      util::with_commas(static_cast<std::int64_t>(analysis.ecn_unknown_hops))
+                          .c_str());
+  }
   out << util::strf("  distinct strip locations:               %zu\n",
                     static_cast<std::size_t>(analysis.strip_locations));
   out << util::strf("  strip locations at AS boundaries:       %zu (%.1f%% of attributed)\n",

@@ -344,14 +344,11 @@ void CampaignDaemon::run_campaign(const std::shared_ptr<Campaign>& campaign) {
     return;
   }
 
-  measure::ParallelCampaign::Options exec_options;
-  exec_options.workers = std::min(spec.workers, options_.max_workers);
-  exec_options.probe.sched = *sched_config;
-  if (!exec_options.probe.sched.is_paper_default() &&
-      exec_options.probe.sched.seed == 0) {
-    exec_options.probe.sched.seed = params.seed;
-  }
-  exec_options.telemetry = params.telemetry.resolved(params.seed);
+  // No halt_after_traces: the daemon does not simulate crash-after.
+  measure::ProbeOptions probe;
+  probe.sched = *sched_config;
+  const auto exec_options =
+      scenario::campaign_options(params, probe, std::min(spec.workers, options_.max_workers));
   auto exec = std::make_shared<measure::ParallelCampaign>(
       scenario::world_shard_factory(params), exec_options);
   exec->set_journal(&journal);

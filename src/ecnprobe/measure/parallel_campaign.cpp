@@ -2,19 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <stdexcept>
+#include <thread>
 
 #include "ecnprobe/obs/event_stream.hpp"
 #include "ecnprobe/obs/profiler.hpp"
 #include "ecnprobe/util/arena.hpp"
-#include "ecnprobe/util/thread_pool.hpp"
 
 namespace ecnprobe::measure {
 
 struct ParallelCampaign::Worker {
   std::unique_ptr<CampaignShard> shard;
-  std::map<std::string, Vantage*> vantages;
-  std::vector<wire::Ipv4Address> servers;
   obs::Counter* busy_micros = nullptr;
   obs::Counter* traces = nullptr;
 };
@@ -28,12 +27,18 @@ ParallelCampaign::ParallelCampaign(ShardFactory factory, Options options)
 void ParallelCampaign::commit_delta(int index, PendingDelta delta) {
   std::lock_guard<std::mutex> lock(merge_mutex_);
   pending_.emplace(index, std::move(delta));
-  // Fold the contiguous ready prefix and release it. Claims are strictly
-  // increasing, so at most ~workers deltas wait here at any moment; the
-  // campaign totals themselves live in fixed-size structures (metric sums,
-  // sketches), never in per-trace retained snapshots.
-  for (auto it = pending_.find(next_merge_); it != pending_.end();
-       it = pending_.find(next_merge_)) {
+  fold_parked(false);
+}
+
+void ParallelCampaign::fold_parked(bool all) {
+  // Claims are strictly increasing, so at most ~workers deltas wait here at
+  // any moment; the campaign totals themselves live in fixed-size
+  // structures (metric sums, sketches), never in per-trace retained
+  // snapshots. Every parked index is >= next_merge_, and std::map iterates
+  // in ascending order, so the prefix walk and the final flush are one loop.
+  for (auto it = pending_.begin();
+       it != pending_.end() && (all || it->first == next_merge_);
+       it = pending_.erase(it)) {
     auto& ready = it->second;
     merged_metrics_.metrics.merge(ready.obs.metrics);
     merged_metrics_.ledger.merge(ready.obs.ledger);
@@ -42,27 +47,8 @@ void ParallelCampaign::commit_delta(int index, PendingDelta delta) {
     flight_events_.insert(flight_events_.end(),
                           std::make_move_iterator(ready.events.begin()),
                           std::make_move_iterator(ready.events.end()));
-    pending_.erase(it);
-    ++next_merge_;
+    next_merge_ = it->first + 1;
   }
-}
-
-void ParallelCampaign::flush_pending() {
-  // Holes in the index space (halt_after_traces abandons claimed indices,
-  // journal prefill can start above zero) stall the prefix walk; once the
-  // pool is idle no more commits arrive, so fold the stragglers in index
-  // order -- std::map iteration is already ascending.
-  std::lock_guard<std::mutex> lock(merge_mutex_);
-  for (auto& [index, ready] : pending_) {
-    merged_metrics_.metrics.merge(ready.obs.metrics);
-    merged_metrics_.ledger.merge(ready.obs.ledger);
-    merged_metrics_.timeseries.merge(ready.obs.timeseries);
-    telemetry_.fold(ready.obs.telemetry);
-    flight_events_.insert(flight_events_.end(),
-                          std::make_move_iterator(ready.events.begin()),
-                          std::make_move_iterator(ready.events.end()));
-  }
-  pending_.clear();
 }
 
 void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& schedule,
@@ -88,18 +74,18 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
       std::lock_guard<std::mutex> lock(observer_mutex_);
       observer_(planned.vantage, planned.batch, index);
     }
-    const auto it = worker.vantages.find(planned.vantage);
-    if (it == worker.vantages.end()) {
+    const auto vantages = worker.shard->vantages();
+    const auto it = vantages.find(planned.vantage);
+    if (it == vantages.end()) {
       throw std::invalid_argument("ParallelCampaign: unknown vantage " + planned.vantage);
     }
-    Vantage* vantage = it->second;
     ProbeOptions probe = options_.probe;
     if (probe.sched.breaker.enabled) {
       // Group resolution must consult this worker's own world clone; a
       // resolver captured from the coordinating world would race it.
       if (auto groups = worker.shard->breaker_group()) probe.breaker_group = std::move(groups);
     }
-    TraceRunner runner(*vantage, worker.servers, probe);
+    TraceRunner runner(*it->second, worker.shard->servers(), probe);
     std::unique_ptr<Trace> result;
     {
       obs::Profiler::Scope probe_scope("probe");
@@ -120,11 +106,11 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
     }
     if (!result) throw std::runtime_error("ParallelCampaign: trace stalled");
     // The delta is collected after full quiescence, so straggler events
-    // (TIME_WAIT timers, late responses) land in this trace's delta -- the
-    // same attribution the sequential campaign's epoch boundaries produce.
-    PendingDelta delta;
-    delta.obs = worker.shard->collect_trace_metrics();
-    delta.events = worker.shard->collect_trace_events();
+    // (TIME_WAIT timers, late responses) land in this trace's delta, on
+    // whichever worker ran it. (A braced list evaluates left to right:
+    // metrics before events, the order shards are promised.)
+    PendingDelta delta{worker.shard->collect_trace_metrics(),
+                       worker.shard->collect_trace_events()};
     if (journal_ != nullptr) {
       // Write-ahead: the trace is durable before it counts as complete.
       obs::Profiler::Scope journal_scope("journal");
@@ -159,10 +145,8 @@ void ParallelCampaign::run_one(Worker& worker, const std::vector<PlannedTrace>& 
                                     " vantage=" + planned.vantage +
                                     " error=" + e.what());
     }
-    PendingDelta delta;
-    delta.obs = worker.shard->collect_trace_metrics();
-    delta.events = worker.shard->collect_trace_events();
-    commit_delta(index, std::move(delta));
+    commit_delta(index, {worker.shard->collect_trace_metrics(),
+                         worker.shard->collect_trace_events()});
     runtime_.counter("campaign_failed_total", {{"vantage", planned.vantage}},
                      "traces that threw, per vantage")->inc();
     std::lock_guard<std::mutex> lock(failures_mutex_);
@@ -176,27 +160,23 @@ ParallelCampaign::Progress ParallelCampaign::progress() const {
   p.total = total_.load(std::memory_order_relaxed);
   p.completed = completed_.load(std::memory_order_relaxed);
   const auto snap = runtime_.snapshot();
-  if (const auto fit = snap.families.find("campaign_failed_total");
-      fit != snap.families.end()) {
-    for (const auto& [labels, value] : fit->second.samples) {
-      p.failed += static_cast<int>(value.counter);
+  const auto for_each_sample = [&snap](const char* family, const auto& fn) {
+    const auto it = snap.families.find(family);
+    if (it == snap.families.end()) return;
+    for (const auto& [labels, value] : it->second.samples) fn(labels, value);
+  };
+  for_each_sample("campaign_failed_total", [&p](const auto&, const auto& value) {
+    p.failed += static_cast<int>(value.counter);
+  });
+  for_each_sample("campaign_in_flight", [&p](const auto&, const auto& value) {
+    p.in_flight += static_cast<int>(value.gauge);
+  });
+  for_each_sample("campaign_completed_total", [&p](const auto& labels, const auto& value) {
+    const auto vantage = labels.find("vantage");
+    if (vantage != labels.end()) {
+      p.completed_by_vantage[vantage->second] += static_cast<int>(value.counter);
     }
-  }
-  if (const auto git = snap.families.find("campaign_in_flight");
-      git != snap.families.end()) {
-    for (const auto& [labels, value] : git->second.samples) {
-      p.in_flight += static_cast<int>(value.gauge);
-    }
-  }
-  if (const auto cit = snap.families.find("campaign_completed_total");
-      cit != snap.families.end()) {
-    for (const auto& [labels, value] : cit->second.samples) {
-      const auto vit = labels.find("vantage");
-      if (vit != labels.end()) {
-        p.completed_by_vantage[vit->second] += static_cast<int>(value.counter);
-      }
-    }
-  }
+  });
   return p;
 }
 
@@ -233,67 +213,78 @@ std::vector<Trace> ParallelCampaign::run(const CampaignPlan& plan) {
   }
   std::atomic<std::size_t> next{0};
   std::atomic<int> live_claimed{0};
-  {
-    util::ThreadPool pool(options_.workers);
-    for (int w = 0; w < options_.workers; ++w) {
-      pool.submit([&, w] {
-        Worker worker;
-        worker.busy_micros =
-            runtime_.counter("worker_busy_micros_total", {{"worker", std::to_string(w)}},
-                             "microseconds spent executing traces, per worker");
-        worker.traces =
-            runtime_.counter("worker_traces_total", {{"worker", std::to_string(w)}},
-                             "traces claimed, per worker");
-        try {
-          worker.shard = factory_(w);
-          worker.vantages = worker.shard->vantages();
-          worker.servers = worker.shard->servers();
-        } catch (const std::exception& e) {
-          // A worker that cannot build its world contributes nothing; the
-          // shared queue lets the surviving workers absorb its share.
-          std::lock_guard<std::mutex> lock(failures_mutex_);
-          failures_.push_back({-1, "<worker " + std::to_string(w) + ">", 0, e.what()});
-          return;
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  auto work = [&](int w) {
+    try {
+      Worker worker;
+      worker.busy_micros =
+          runtime_.counter("worker_busy_micros_total", {{"worker", std::to_string(w)}},
+                           "microseconds spent executing traces, per worker");
+      worker.traces = runtime_.counter("worker_traces_total", {{"worker", std::to_string(w)}},
+                                       "traces claimed, per worker");
+      try {
+        worker.shard = factory_(w);
+      } catch (const std::exception& e) {
+        // A worker that cannot build its world contributes nothing; the
+        // shared queue lets the surviving workers absorb its share.
+        std::lock_guard<std::mutex> lock(failures_mutex_);
+        failures_.push_back({-1, "<worker " + std::to_string(w) + ">", 0, e.what()});
+        return;
+      }
+      for (;;) {
+        if (halt_requested_.load(std::memory_order_relaxed)) {
+          // External cancel (watchdog / drain): same contract as the
+          // simulated crash below -- stop claiming, keep what was
+          // journaled, let a resume run finish the plan.
+          break;
         }
-        for (;;) {
-          if (halt_requested_.load(std::memory_order_relaxed)) {
-            // External cancel (watchdog / drain): same contract as the
-            // simulated crash below -- stop claiming, keep what was
-            // journaled, let a resume run finish the plan.
-            break;
-          }
-          const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-          if (index >= schedule.size()) break;
-          if (slots[index]) continue;  // replayed from the journal
-          if (options_.halt_after_traces > 0 &&
-              live_claimed.fetch_add(1, std::memory_order_relaxed) >=
-                  options_.halt_after_traces) {
-            // Simulated crash: this worker stops claiming. Which indices got
-            // journaled depends on scheduling, but a --resume run completes
-            // the rest, and the final merged output is index-keyed -- so it
-            // is byte-identical to an uninterrupted run regardless.
-            break;
-          }
-          const auto started = std::chrono::steady_clock::now();
-          run_one(worker, schedule, static_cast<int>(index), slots);
-          const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - started);
-          worker.busy_micros->inc(static_cast<std::uint64_t>(elapsed.count()));
-          worker.traces->inc();
+        const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
+        if (index >= schedule.size()) break;
+        if (slots[index]) continue;  // replayed from the journal
+        if (options_.halt_after_traces > 0 &&
+            live_claimed.fetch_add(1, std::memory_order_relaxed) >=
+                options_.halt_after_traces) {
+          // Simulated crash: this worker stops claiming. Which indices got
+          // journaled depends on scheduling, but a --resume run completes
+          // the rest, and the final merged output is index-keyed -- so it
+          // is byte-identical to an uninterrupted run regardless.
+          break;
         }
-      });
+        const auto started = std::chrono::steady_clock::now();
+        run_one(worker, schedule, static_cast<int>(index), slots);
+        const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - started);
+        worker.busy_micros->inc(static_cast<std::uint64_t>(elapsed.count()));
+        worker.traces->inc();
+      }
+    } catch (...) {
+      // Not fatal to the process or to the other workers: rethrown from
+      // run() once everyone has joined.
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
     }
-    pool.wait_idle();
+  };
+  {
+    // jthreads join when this scope exits, also when starting one throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<std::size_t>(options_.workers - 1));
+    for (int w = 1; w < options_.workers; ++w) threads.emplace_back(work, w);
+    work(0);
   }
+  if (first_error) std::rethrow_exception(first_error);
 
   std::sort(failures_.begin(), failures_.end(),
             [](const TraceFailure& a, const TraceFailure& b) { return a.index < b.index; });
 
   // Deltas were folded in plan order by the streaming merger as traces
   // finished (commutative integer sums + order-pinned sketch folds), so
-  // the totals are byte-identical to the sequential campaign's at any
-  // worker count; only halt-induced holes remain parked.
-  flush_pending();
+  // the totals are byte-identical at any worker count; only halt-induced
+  // holes remain parked.
+  {
+    std::lock_guard<std::mutex> lock(merge_mutex_);
+    fold_parked(true);
+  }
 
   // Merge results back into plan order; failed traces leave no hole and no
   // duplicate -- their slot is simply empty.

@@ -1,21 +1,26 @@
-// Sharded parallel campaign executor. The campaign's traces are
-// independent given the determinism contract (every trace is a pure
-// function of the world seed and its campaign index), so they shard
-// trivially: a fixed-size worker pool pulls per-trace work items from a
-// shared queue, each worker runs them on its own isolated, seed-derived
-// world -- no mutable simulation state is shared between threads -- and
-// the merged result vector is in plan order, byte-identical to what the
-// sequential Campaign produces on one world.
+// The campaign executor. The campaign's traces are independent given the
+// determinism contract (every trace is a pure function of the world seed
+// and its campaign index), so they shard trivially: N workers pull
+// per-trace work items from a shared claim counter, each runs them on its
+// own isolated, seed-derived world -- no mutable simulation state is
+// shared between threads -- and the merged result vector is in plan
+// order, byte-identical at any worker count. There is one executor;
+// worker 0 is the calling thread, so `workers = 1` is the sequential run
+// and starts no thread at all.
 //
 // Thread affinity contract:
+//   * Worker 0 runs on the thread that calls run(); workers 1..N-1 each
+//     get their own std::thread.
 //   * CampaignShard instances are created by the factory *on the worker
 //     thread* that will use them; the shard's Simulator is therefore owned
-//     by that thread (netsim::Simulator enforces single-thread use).
+//     by that thread (netsim::Simulator enforces single-thread use). A
+//     factory may hand worker 0 a world the caller already owns.
 //   * begin_trace() is called on the worker thread and may freely mutate
 //     the shard's own world.
 //   * The observer hook (set_observer) runs serialized under a mutex, one
 //     invocation at a time, but on whichever worker claimed the trace.
-//   * run() blocks the calling thread until every trace finished.
+//   * run() returns once every worker has finished and joined; the first
+//     exception that escaped any worker is rethrown from there.
 #pragma once
 
 #include <atomic>
@@ -47,8 +52,8 @@ public:
   virtual std::map<std::string, Vantage*> vantages() = 0;
   virtual std::vector<wire::Ipv4Address> servers() = 0;
 
-  /// Puts this shard's world into the exact state the sequential campaign
-  /// would have before trace `index`: availability/churn for (batch, index)
+  /// Puts this shard's world into the exact state any world of the same
+  /// params has before trace `index`: availability/churn for (batch, index)
   /// plus the per-trace epoch reset (RNG streams, middlebox state).
   virtual void begin_trace(const std::string& vantage, int batch, int index) = 0;
 
@@ -67,11 +72,8 @@ public:
 
   /// A trace on this shard threw: attribute the loss (drop ledger) before
   /// the executor collects the partial delta. Default: no attribution.
-  virtual void quarantine_trace(const std::string& vantage, int batch, int index) {
-    (void)vantage;
-    (void)batch;
-    (void)index;
-  }
+  virtual void quarantine_trace(const std::string& /*vantage*/, int /*batch*/,
+                                int /*index*/) {}
 
   /// Circuit-breaker group resolver bound to THIS shard's world (each
   /// worker's clone owns a private ip2as map, so the resolver must not
@@ -81,7 +83,8 @@ public:
 
 class ParallelCampaign {
 public:
-  /// Builds worker `worker_index`'s shard. Invoked on the worker thread.
+  /// Builds worker `worker_index`'s shard. Invoked on the worker thread
+  /// (worker 0: the thread that called run()).
   using ShardFactory = std::function<std::unique_ptr<CampaignShard>(int worker_index)>;
   /// Progress observer; serialized across workers. Must not touch any
   /// shard's world (each worker resets its own via CampaignShard).
@@ -98,13 +101,9 @@ public:
     /// Sketched-telemetry config for the campaign-level aggregate. Must be
     /// pre-resolved (seed filled in) identically to the config the shards'
     /// worlds arm, or the fold would hash into different sketch cells --
-    /// scenario::run_parallel_campaign does this from WorldParams.
+    /// scenario::campaign_options does this from WorldParams.
     obs::TelemetryConfig telemetry;
   };
-
-  /// See measure::TraceFailure; kept as a nested alias for callers that
-  /// predate the sequential executor growing quarantine support.
-  using TraceFailure = measure::TraceFailure;
 
   ParallelCampaign(ShardFactory factory, Options options);
 
@@ -126,9 +125,12 @@ public:
   /// is considered complete. The journal must outlive run().
   void set_journal(CampaignJournal* journal) { journal_ = journal; }
 
-  /// Runs the plan across the worker pool; blocks until done. Returns the
-  /// successful traces merged back into plan order (failed traces are
-  /// omitted -- never duplicated, never reordered).
+  /// Runs the plan with worker 0 on the calling thread and workers
+  /// 1..N-1 on their own threads; returns after every worker joined.
+  /// Returns the successful traces merged back into plan order (failed
+  /// traces are omitted -- never duplicated, never reordered). A trace
+  /// that throws a std::exception is quarantined into failures(); any
+  /// other exception escaping a worker is rethrown here (the first one).
   std::vector<Trace> run(const CampaignPlan& plan);
 
   /// Traces that threw during the last run(), in campaign-index order.
@@ -149,8 +151,8 @@ public:
   Progress progress() const;
 
   /// Campaign observability merged from the per-trace shard deltas in plan
-  /// order -- byte-identical to the sequential World's campaign snapshot
-  /// regardless of worker count. Valid after run() returns.
+  /// order -- byte-identical regardless of worker count. Valid after run()
+  /// returns.
   const obs::ObsSnapshot& metrics() const { return merged_metrics_; }
 
   /// Point-in-time copy of the merged campaign snapshot, safe to call
@@ -164,15 +166,13 @@ public:
   }
 
   /// Flight-recorder events merged from the per-trace shard slices in plan
-  /// order -- byte-identical to the sequential World's campaign_flights()
-  /// regardless of worker count. Empty unless the shards armed their
-  /// recorders. Valid after run() returns.
+  /// order -- byte-identical regardless of worker count. Empty unless the
+  /// shards armed their recorders. Valid after run() returns.
   const std::vector<obs::FlightEvent>& flight_events() const { return flight_events_; }
 
   /// Campaign telemetry aggregate folded from the per-trace deltas in plan
-  /// order -- byte-identical to the sequential World's campaign_telemetry()
-  /// regardless of worker count. Inactive unless Options::telemetry is
-  /// sketched. Valid after run() returns.
+  /// order -- byte-identical regardless of worker count. Inactive unless
+  /// Options::telemetry is sketched. Valid after run() returns.
   const obs::TelemetryAggregate& telemetry() const { return telemetry_; }
 
   /// Executor-runtime metrics (worker utilization, in-flight gauges).
@@ -200,9 +200,11 @@ private:
   /// prefix into the campaign snapshot/telemetry/flight log in plan order.
   /// Thread-safe; each index must be committed exactly once.
   void commit_delta(int index, PendingDelta delta);
-  /// Folds any still-parked deltas (holes from halt_after_traces leave the
-  /// prefix short) in index order. Call only after the pool is idle.
-  void flush_pending();
+  /// Folds parked deltas in index order: the contiguous ready prefix, or
+  /// with `all` every one of them (holes from halt_after_traces leave the
+  /// prefix short; call that only after every worker joined). Requires
+  /// merge_mutex_.
+  void fold_parked(bool all);
 
   ShardFactory factory_;
   Options options_;

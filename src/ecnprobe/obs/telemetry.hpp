@@ -118,7 +118,6 @@ class TelemetryRecorder {
   void arm(const TelemetryConfig& config);
   void disarm();
   bool armed() const { return armed_; }
-  const TelemetryConfig& config() const { return config_; }
   int rtt_subbits() const { return rtt_subbits_; }
 
   void set_as_labeler(AsLabeler labeler) { as_labeler_ = std::move(labeler); }

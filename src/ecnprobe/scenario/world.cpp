@@ -242,7 +242,7 @@ void World::build_pool() {
                                                       http::HttpServerService::Config{});
         // Simulated HTTP traffic lands in this world's registry as http_*
         // counters -- deterministic like everything else in the registry,
-        // so the families survive the sequential-vs-parallel equality gate.
+        // so the families survive the cross-worker-count equality gate.
         server.web->set_metrics(&obs_.registry);
       }
 
@@ -634,8 +634,7 @@ void World::begin_trace_epoch(const std::string& vantage, int batch, int index) 
 
 void World::mark_obs_baseline() {
   // The simulator tallies its instrumentation locally; publish it so the
-  // snapshot counts every event fired so far (this runs inside sim
-  // callbacks on the sequential executor).
+  // snapshot counts every event fired so far, whoever ran them.
   sim_.publish_metrics();
   obs_baseline_ = obs_.registry.snapshot();
   obs_ledger_mark_ = obs_.ledger.counts();
@@ -656,114 +655,23 @@ obs::ObsSnapshot World::collect_obs_delta() {
   return delta;
 }
 
-void World::fold_campaign_delta(const obs::ObsSnapshot& delta) {
-  campaign_obs_.metrics.merge(delta.metrics);
-  campaign_obs_.ledger.merge(delta.ledger);
-  campaign_obs_.timeseries.merge(delta.timeseries);
-  campaign_telemetry_.fold(delta.telemetry);
-}
-
 std::vector<measure::Trace> World::run_campaign(
     const measure::CampaignPlan& plan, const measure::ProbeOptions& options,
-    measure::Campaign::AfterTraceHook after_trace, measure::CampaignJournal* journal,
-    int halt_after, std::vector<measure::TraceFailure>* failures,
-    measure::Campaign::HaltCheck halt_check) {
-  measure::ProbeOptions probe = options;
-  if (!probe.sched.is_paper_default()) {
-    // Scenario-layer defaults for a supervised campaign: jitter streams key
-    // off the world seed, breaker groups off this world's ip2as map. Both
-    // are pure functions of WorldParams, so the sharded executor (which
-    // applies the same defaults against its worker clones) stays
-    // byte-identical.
-    if (probe.sched.seed == 0) probe.sched.seed = params_.seed;
-    if (probe.sched.breaker.enabled && !probe.breaker_group) {
-      probe.breaker_group = breaker_group_resolver();
-    }
-  }
-  measure::Campaign campaign(vantage_map(), server_addresses(), probe);
-  if (after_trace) campaign.set_after_trace(std::move(after_trace));
-  campaign_obs_ = {};
-  campaign_flights_.clear();
-  campaign_telemetry_ = obs_.telemetry.armed()
-                            ? obs::TelemetryAggregate(obs_.telemetry.config())
-                            : obs::TelemetryAggregate{};
-  // Merge accounting: every trace's obs delta must enter campaign_obs_
-  // exactly once -- as a live commit, a journal replay, or a quarantine.
-  // The counters make a double merge (e.g. a replayed trace also firing
-  // the commit hook) a hard error instead of silently doubled metrics.
-  std::size_t live_merges = 0;
-  std::size_t replayed_merges = 0;
-  std::size_t quarantined_merges = 0;
-  campaign.set_before_trace([this](const std::string& vantage, int batch, int index) {
-    begin_trace_epoch(vantage, batch, index);
-  });
-  // The commit hook fires at the quiescence barrier after each trace (the
-  // final one included): stragglers (TIME_WAIT timers, late responses) have
-  // fired and are attributed to the trace that caused them -- exactly what
-  // the parallel shards see when they collect after sim().run() goes idle.
-  // Journalling here makes the checkpoint write-ahead: the trace is durable
-  // before the next one starts.
-  campaign.set_commit([this, journal, &live_merges](const measure::Trace& trace) {
-    const auto delta = collect_obs_delta();
-    if (journal != nullptr) journal->append(trace, delta);
-    fold_campaign_delta(delta);
-    auto slice = collect_flight_slice();
-    campaign_flights_.insert(campaign_flights_.end(),
-                             std::make_move_iterator(slice.begin()),
-                             std::make_move_iterator(slice.end()));
-    ++live_merges;
-  });
-  if (journal != nullptr) {
-    campaign.set_replay(
-        [this, journal, &replayed_merges](int index) -> std::optional<measure::Trace> {
-          const auto it = journal->entries().find(index);
-          if (it == journal->entries().end()) return std::nullopt;
-          // Replays happen in plan order, interleaved with live commits at
-          // the same position, so the merged campaign snapshot is
-          // byte-identical to an uninterrupted run's.
-          fold_campaign_delta(it->second.delta);
-          ++replayed_merges;
-          return it->second.trace;
-        });
-  }
-  campaign.set_quarantine([this, &quarantined_merges](const std::string& vantage,
-                                                      int /*batch*/, int /*index*/,
-                                                      const std::string& /*reason*/) {
-    // The failed trace's partial delta -- including the quarantine
-    // attribution recorded just now -- still lands in the campaign
-    // snapshot: a thrown-away trace is reported, never silently absorbed.
-    quarantine_trace(vantage);
-    fold_campaign_delta(collect_obs_delta());
-    auto slice = collect_flight_slice();
-    campaign_flights_.insert(campaign_flights_.end(),
-                             std::make_move_iterator(slice.begin()),
-                             std::make_move_iterator(slice.end()));
-    ++quarantined_merges;
-  });
-  const int crash_after = halt_after > 0 ? halt_after : params_.faults.crash_after_traces;
-  if (crash_after > 0) campaign.set_halt_after(crash_after);
-  if (halt_check) campaign.set_halt_check(std::move(halt_check));
-  std::vector<measure::Trace> results;
-  bool done = false;
-  campaign.run(plan, [&](std::vector<measure::Trace> traces) {
-    results = std::move(traces);
-    done = true;
-  });
-  sim_.run();
-  if (!done) throw std::runtime_error("World::run_campaign: simulation stalled");
-  if (live_merges + replayed_merges != results.size() ||
-      quarantined_merges != campaign.failures().size()) {
-    throw std::logic_error(util::strf(
-        "World::run_campaign: obs merge accounting broken: %zu live + %zu replayed "
-        "merges for %zu results, %zu quarantine merges for %zu failures",
-        live_merges, replayed_merges, results.size(), quarantined_merges,
-        campaign.failures().size()));
-  }
+    measure::CampaignJournal* journal, int halt_after,
+    std::vector<measure::TraceFailure>* failures) {
+  auto exec = campaign_options(params_, options, 1);
+  exec.halt_after_traces = halt_after > 0 ? halt_after : params_.faults.crash_after_traces;
+  measure::ParallelCampaign campaign(world_shard_factory(*this), exec);
+  if (journal != nullptr) campaign.set_journal(journal);
+  auto traces = campaign.run(plan);
   if (failures != nullptr) {
     failures->insert(failures->end(), campaign.failures().begin(),
                      campaign.failures().end());
   }
-  return results;
+  campaign_obs_ = campaign.metrics();
+  campaign_flights_ = campaign.flight_events();
+  campaign_telemetry_ = campaign.telemetry();
+  return traces;
 }
 
 void World::quarantine_trace(const std::string& vantage) {
@@ -774,8 +682,8 @@ std::vector<measure::TracerouteObservation> World::run_traceroutes(
     int repetitions, traceroute::TracerouteOptions options) {
   // Hermetic like a campaign trace: re-derive the datapath streams from a
   // fixed label so the traceroute figures do not depend on whether (or how)
-  // a campaign ran on this world first -- the sequential and --workers=N
-  // study pipelines print identical Figure 4 sections.
+  // a campaign ran on this world first -- the study pipeline prints the
+  // same Figure 4 section at any --workers N.
   net().begin_epoch(util::derive_seed(params_.seed, "traceroute-epoch"));
   std::vector<measure::TracerouteObservation> all;
   // One observation per (vantage, server, repetition); the runner records
@@ -839,29 +747,41 @@ measure::ParallelCampaign::ShardFactory world_shard_factory(WorldParams params) 
   };
 }
 
+measure::ParallelCampaign::ShardFactory world_shard_factory(World& world) {
+  // The params are copied here, on the lending thread, so the clones never
+  // touch `world` while worker 0 runs traces on it.
+  return [&world, params = world.params()](
+             int worker_index) -> std::unique_ptr<measure::CampaignShard> {
+    if (worker_index == 0) return std::make_unique<WorldShard>(world);
+    return std::make_unique<WorldShard>(params);
+  };
+}
+
+measure::ParallelCampaign::Options campaign_options(const WorldParams& params,
+                                                    const measure::ProbeOptions& probe,
+                                                    int workers) {
+  measure::ParallelCampaign::Options exec;
+  exec.workers = workers;
+  exec.probe = probe;
+  exec.telemetry = params.telemetry.resolved(params.seed);
+  // Jitter streams key off the world seed; breaker groups are bound per
+  // worker shard inside ParallelCampaign (each clone owns a private ip2as
+  // map).
+  if (!exec.probe.sched.is_paper_default() && exec.probe.sched.seed == 0) {
+    exec.probe.sched.seed = params.seed;
+  }
+  return exec;
+}
+
 std::vector<measure::Trace> run_parallel_campaign(
     const WorldParams& params, const measure::CampaignPlan& plan,
     const measure::ProbeOptions& options, int workers,
-    std::vector<measure::ParallelCampaign::TraceFailure>* failures,
-    obs::ObsSnapshot* metrics_out, measure::CampaignJournal* journal, int halt_after,
+    std::vector<measure::TraceFailure>* failures, obs::ObsSnapshot* metrics_out,
+    measure::CampaignJournal* journal, int halt_after,
     std::vector<obs::FlightEvent>* events_out, obs::TelemetryAggregate* telemetry_out) {
-  measure::ParallelCampaign::Options exec_options;
-  exec_options.workers = workers;
-  exec_options.probe = options;
-  if (!exec_options.probe.sched.is_paper_default() &&
-      exec_options.probe.sched.seed == 0) {
-    // Mirror of the sequential executor's seed defaulting; the breaker
-    // group resolver is bound per worker shard (each clone owns a private
-    // ip2as map) inside ParallelCampaign.
-    exec_options.probe.sched.seed = params.seed;
-  }
-  // Same seed resolution the worker worlds apply in their constructors:
-  // the campaign-level aggregate must hash with the identical sketch seed
-  // or folding the workers' deltas would scatter across different cells.
-  exec_options.telemetry = params.telemetry.resolved(params.seed);
-  exec_options.halt_after_traces =
-      halt_after > 0 ? halt_after : params.faults.crash_after_traces;
-  measure::ParallelCampaign campaign(world_shard_factory(params), exec_options);
+  auto exec = campaign_options(params, options, workers);
+  exec.halt_after_traces = halt_after > 0 ? halt_after : params.faults.crash_after_traces;
+  measure::ParallelCampaign campaign(world_shard_factory(params), exec);
   if (journal != nullptr) campaign.set_journal(journal);
   auto traces = campaign.run(plan);
   if (failures != nullptr) {

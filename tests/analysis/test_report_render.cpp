@@ -82,6 +82,17 @@ TEST(ReportRender, Figure4SummarisesCounts) {
   EXPECT_NE(out.find("59.0%"), std::string::npos);  // 118/200
 }
 
+TEST(ReportRender, Figure4ShowsEcnUnknownHopsOnlyWhenPresent) {
+  HopAnalysis analysis;
+  analysis.total_hops = 120;
+  analysis.pass_hops = 100;
+  const std::string label = "hops with ECN unknown (quote truncated):";
+  EXPECT_EQ(render_figure4(analysis, {}).find(label), std::string::npos);
+  analysis.ecn_unknown_hops = 1234;
+  const auto out = render_figure4(analysis, {});
+  EXPECT_NE(out.find(label + " 1,234\n"), std::string::npos);
+}
+
 TEST(ReportRender, Figure4DrawsSamplePaths) {
   HopAnalysis analysis;
   std::vector<measure::TracerouteObservation> samples(1);

@@ -27,7 +27,22 @@ TEST(CampaignPlan, VantageNamesMatchFigureOrder) {
   EXPECT_EQ(names.back(), "EC2 Vir");
 }
 
-TEST(Campaign, RunsPlanAndStampsTraces) {
+TEST(CampaignPlan, ScheduleInterleavesVantagesBatchByBatch) {
+  CampaignPlan plan;
+  plan.entries.push_back({"EC2 Sin", 2, 1});
+  plan.entries.push_back({"UGla wired", 1, 2});
+  plan.entries.push_back({"Perkins home", 1, 1});
+  const auto schedule = expand_schedule(plan);
+  ASSERT_EQ(schedule.size(), 4u);
+  EXPECT_EQ(schedule[0].vantage, "UGla wired");
+  EXPECT_EQ(schedule[1].vantage, "Perkins home");
+  EXPECT_EQ(schedule[2].vantage, "UGla wired");
+  EXPECT_EQ(schedule[3].vantage, "EC2 Sin");
+  EXPECT_EQ(schedule[2].batch, 1);
+  EXPECT_EQ(schedule[3].batch, 2);
+}
+
+TEST(RunCampaign, RunsPlanAndStampsTraces) {
   auto params = scenario::WorldParams::small(11);
   params.server_count = 8;
   params.offline_prob = 0.0;
@@ -36,15 +51,7 @@ TEST(Campaign, RunsPlanAndStampsTraces) {
   CampaignPlan plan;
   plan.entries.push_back({"UGla wired", 1, 2});
   plan.entries.push_back({"EC2 Sin", 2, 1});
-
-  std::vector<std::pair<std::string, int>> hook_calls;
-  Campaign campaign(world.vantage_map(), world.server_addresses(), ProbeOptions{});
-  campaign.set_before_trace([&](const std::string& vantage, int batch, int) {
-    hook_calls.emplace_back(vantage, batch);
-  });
-  std::vector<Trace> traces;
-  campaign.run(plan, [&](std::vector<Trace> t) { traces = std::move(t); });
-  world.sim().run();
+  const auto traces = world.run_campaign(plan);
 
   ASSERT_EQ(traces.size(), 3u);
   EXPECT_EQ(traces[0].vantage, "UGla wired");
@@ -54,21 +61,14 @@ TEST(Campaign, RunsPlanAndStampsTraces) {
   EXPECT_EQ(traces[2].batch, 2);
   // Indices are sequential.
   EXPECT_EQ(traces[0].index, 0);
+  EXPECT_EQ(traces[1].index, 1);
   EXPECT_EQ(traces[2].index, 2);
-  // The before-trace hook fired once per trace, batch 1 before batch 2.
-  ASSERT_EQ(hook_calls.size(), 3u);
-  EXPECT_EQ(hook_calls[0].second, 1);
-  EXPECT_EQ(hook_calls[2].second, 2);
-}
-
-TEST(Campaign, UnknownVantageThrows) {
-  auto params = scenario::WorldParams::small(12);
-  params.server_count = 4;
-  scenario::World world(params);
-  CampaignPlan plan;
-  plan.entries.push_back({"Atlantis", 1, 1});
-  Campaign campaign(world.vantage_map(), world.server_addresses(), ProbeOptions{});
-  EXPECT_THROW(campaign.run(plan, [](std::vector<Trace>) {}), std::invalid_argument);
+  // The begin-trace epoch ran once per trace: its start counter is in the
+  // campaign snapshot, per vantage.
+  const auto& started = world.campaign_obs().metrics.families.at("campaign_traces_total");
+  std::uint64_t total = 0;
+  for (const auto& [labels, value] : started.samples) total += value.counter;
+  EXPECT_EQ(total, 3u);
 }
 
 }  // namespace

@@ -1,16 +1,22 @@
-// Determinism regression harness for the sharded campaign executor: the
-// whole point of ParallelCampaign is that sharding traces across isolated
-// per-worker worlds changes wall-clock time and nothing else. Sequential
-// Campaign output and parallel output at 1, 2, and 8 workers must agree to
-// the byte, and a worker whose trace throws must neither lose nor
-// duplicate anyone else's traces.
+// Determinism regression harness for the campaign executor: the whole
+// point of ParallelCampaign is that sharding traces across isolated
+// per-worker worlds changes wall-clock time and nothing else.
+// World::run_campaign (one worker on a lent, already-used world) and fresh
+// clones at 1, 2, and 8 workers must agree to the byte, and a worker whose
+// trace throws must neither lose nor duplicate anyone else's traces. The
+// executor's own shape is pinned too: worker 0 is the calling thread, and
+// an exception escaping any worker is rethrown from run() after every
+// worker joined.
 #include "ecnprobe/measure/parallel_campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "ecnprobe/analysis/reachability.hpp"
@@ -53,7 +59,12 @@ TEST(ParallelCampaign, ByteIdenticalToSequentialAt1And2And8Workers) {
   const auto plan = mixed_plan();
   const ProbeOptions options;
 
+  // The lent world has already run another campaign: the begin-trace epoch
+  // reset must make that history invisible.
   scenario::World sequential_world(params);
+  CampaignPlan warm_up;
+  warm_up.entries.push_back({"EC2 Sao", 2, 2});
+  ASSERT_EQ(sequential_world.run_campaign(warm_up, options).size(), 2u);
   const auto sequential = sequential_world.run_campaign(plan, options);
   ASSERT_EQ(static_cast<int>(sequential.size()), plan.total_traces());
   const auto sequential_csv = to_csv(sequential);
@@ -269,6 +280,159 @@ TEST(ParallelCampaign, StressNoLostOrDuplicatedTracesWhenWorkersThrow) {
   }
   write_traces_csv(expected, kept);
   EXPECT_EQ(to_csv(traces), expected.str());
+}
+
+// Lending a world: worker 0 runs on the caller's own world, the other
+// workers on clones of it. The merged outputs equal a run over fresh
+// clones only, to the byte.
+TEST(ParallelCampaign, LentWorldByteIdenticalToClones) {
+  const auto params = determinism_params();
+  const auto plan = mixed_plan();
+
+  obs::ObsSnapshot cloned_obs;
+  const auto cloned =
+      scenario::run_parallel_campaign(params, plan, {}, 2, nullptr, &cloned_obs);
+  ASSERT_EQ(static_cast<int>(cloned.size()), plan.total_traces());
+
+  scenario::World world(params);
+  ParallelCampaign lent(scenario::world_shard_factory(world),
+                        scenario::campaign_options(params, {}, 2));
+  const auto traces = lent.run(plan);
+  ASSERT_TRUE(lent.failures().empty());
+  EXPECT_EQ(to_csv(traces), to_csv(cloned));
+  EXPECT_EQ(obs::to_json(lent.metrics()), obs::to_json(cloned_obs));
+}
+
+/// Forwards to a WorldShard and records the thread of every call the
+/// executor makes into it.
+class ThreadRecordingShard final : public CampaignShard {
+public:
+  ThreadRecordingShard(std::unique_ptr<CampaignShard> inner, std::vector<std::thread::id>& seen)
+      : inner_(std::move(inner)), seen_(seen) {}
+
+  netsim::Simulator& sim() override { return inner_->sim(); }
+  std::map<std::string, Vantage*> vantages() override { return inner_->vantages(); }
+  std::vector<wire::Ipv4Address> servers() override { return inner_->servers(); }
+  void begin_trace(const std::string& vantage, int batch, int index) override {
+    seen_.push_back(std::this_thread::get_id());
+    inner_->begin_trace(vantage, batch, index);
+  }
+  obs::ObsSnapshot collect_trace_metrics() override {
+    seen_.push_back(std::this_thread::get_id());
+    return inner_->collect_trace_metrics();
+  }
+
+private:
+  std::unique_ptr<CampaignShard> inner_;
+  std::vector<std::thread::id>& seen_;
+};
+
+TEST(ParallelCampaign, OneWorkerRunsOnTheCallingThread) {
+  const auto params = determinism_params();
+  const auto plan = mixed_plan();
+  auto base = scenario::world_shard_factory(params);
+  std::vector<std::thread::id> seen;
+  int built = 0;
+  ParallelCampaign::Options exec;
+  exec.workers = 1;
+  ParallelCampaign campaign(
+      [&](int worker) -> std::unique_ptr<CampaignShard> {
+        ++built;
+        seen.push_back(std::this_thread::get_id());
+        return std::make_unique<ThreadRecordingShard>(base(worker), seen);
+      },
+      exec);
+  const auto traces = campaign.run(plan);
+  EXPECT_EQ(static_cast<int>(traces.size()), plan.total_traces());
+  EXPECT_EQ(built, 1);
+  // The factory call, then begin_trace and collect_trace_metrics per trace.
+  ASSERT_EQ(seen.size(), 1u + 2u * static_cast<std::size_t>(plan.total_traces()));
+  for (const auto& id : seen) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+/// Not derived from std::exception: the executor cannot quarantine it as a
+/// trace failure and must hand it to run()'s caller.
+struct NotAStdException {
+  int worker;
+};
+
+/// Worker 0's shard throws NotAStdException from its first begin_trace;
+/// every other worker's shard stays busy a while on each trace. Live shards
+/// are counted, so a test can see whether every worker had finished (and
+/// destroyed its shard) by the time run() threw.
+class NonStdThrowingShard final : public CampaignShard {
+public:
+  NonStdThrowingShard(std::unique_ptr<CampaignShard> inner, int worker, std::atomic<int>& live)
+      : inner_(std::move(inner)), worker_(worker), live_(live) {
+    live_.fetch_add(1);
+  }
+  ~NonStdThrowingShard() override { live_.fetch_sub(1); }
+  NonStdThrowingShard(const NonStdThrowingShard&) = delete;
+  NonStdThrowingShard& operator=(const NonStdThrowingShard&) = delete;
+
+  netsim::Simulator& sim() override { return inner_->sim(); }
+  std::map<std::string, Vantage*> vantages() override { return inner_->vantages(); }
+  std::vector<wire::Ipv4Address> servers() override { return inner_->servers(); }
+  void begin_trace(const std::string& vantage, int batch, int index) override {
+    if (worker_ == 0) throw NotAStdException{worker_};
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    inner_->begin_trace(vantage, batch, index);
+  }
+
+private:
+  std::unique_ptr<CampaignShard> inner_;
+  int worker_;
+  std::atomic<int>& live_;
+};
+
+TEST(ParallelCampaign, NonStdExceptionRethrownAfterEveryWorkerJoined) {
+  const auto params = determinism_params();
+  const auto plan = mixed_plan();
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    auto base = scenario::world_shard_factory(params);
+    std::atomic<int> live{0};
+    ParallelCampaign::Options exec;
+    exec.workers = workers;
+    ParallelCampaign campaign(
+        [&](int worker) -> std::unique_ptr<CampaignShard> {
+          return std::make_unique<NonStdThrowingShard>(base(worker), worker, live);
+        },
+        exec);
+    bool caught = false;
+    try {
+      campaign.run(plan);
+    } catch (const NotAStdException& e) {
+      caught = true;
+      EXPECT_EQ(e.worker, 0);
+      // Worker 1 was still working through the rest of the plan when
+      // worker 0 threw; run() must have waited for it.
+      EXPECT_EQ(live.load(), 0) << "run() threw before every worker finished";
+    }
+    EXPECT_TRUE(caught);
+    // The survivor finished every trace it claimed; only the poisoned
+    // claim is missing.
+    EXPECT_EQ(campaign.traces_completed(), workers == 1 ? 0 : plan.total_traces() - 1);
+  }
+}
+
+// An unknown vantage is one failed trace, not a failed campaign: it lands
+// in failures() and yields no trace result.
+TEST(ParallelCampaign, UnknownVantageIsQuarantined) {
+  auto params = scenario::WorldParams::small(12);
+  params.server_count = 4;
+  CampaignPlan plan;
+  plan.entries.push_back({"UGla wired", 1, 1});
+  plan.entries.push_back({"Atlantis", 1, 1});
+  ParallelCampaign campaign(scenario::world_shard_factory(params),
+                            scenario::campaign_options(params, {}, 1));
+  const auto traces = campaign.run(plan);
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_EQ(traces[0].vantage, "UGla wired");
+  ASSERT_EQ(campaign.failures().size(), 1u);
+  EXPECT_EQ(campaign.failures()[0].index, 1);
+  EXPECT_EQ(campaign.failures()[0].vantage, "Atlantis");
+  EXPECT_NE(campaign.failures()[0].message.find("unknown vantage"), std::string::npos);
 }
 
 }  // namespace

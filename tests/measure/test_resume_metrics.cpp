@@ -69,13 +69,13 @@ TEST(ResumeMetrics, SequentialResumeMatchesUninterruptedRun) {
     CampaignJournal journal;
     ASSERT_TRUE(journal.open(file.path, meta_for(plan, params), &error)) << error;
     scenario::World halted(params);
-    halted.run_campaign(plan, {}, nullptr, &journal, /*halt_after=*/5);
+    halted.run_campaign(plan, {}, &journal, /*halt_after=*/5);
     ASSERT_EQ(journal.entries().size(), 5u);
   }
   CampaignJournal journal;
   ASSERT_TRUE(journal.open(file.path, meta_for(plan, params), &error)) << error;
   scenario::World resumed(params);
-  const auto traces = resumed.run_campaign(plan, {}, nullptr, &journal);
+  const auto traces = resumed.run_campaign(plan, {}, &journal);
   EXPECT_EQ(static_cast<int>(traces.size()), plan.total_traces());
   // The strong contract: replayed deltas merged exactly once, so the merged
   // snapshot encodes to the same bytes as the uninterrupted run's.

@@ -186,5 +186,25 @@ TEST(WorldLifetime, TraceLeavesNoConnectionsOrClientSockets) {
   }
 }
 
+TEST(WorldLifetime, CampaignThenTraceroutesOnTheSameWorld) {
+  // `ecnprobe report`'s path: a campaign, then traceroutes, on one world
+  // from one thread. run_campaign runs its single worker on the calling
+  // thread, so the world's Simulator never changes owner (it would throw
+  // on a cross-thread use).
+  auto params = campaign_params();
+  params.server_count = 10;
+  World world(params);
+  measure::CampaignPlan plan;
+  plan.entries.push_back({"UGla wired", 1, 1});
+  plan.entries.push_back({"EC2 Tok", 2, 1});
+  std::vector<measure::TraceFailure> failures;
+  const auto traces = world.run_campaign(plan, {}, nullptr, 0, &failures);
+  EXPECT_TRUE(failures.empty());
+  ASSERT_EQ(traces.size(), 2u);
+  std::vector<measure::TracerouteObservation> observations;
+  ASSERT_NO_THROW(observations = world.run_traceroutes(1));
+  EXPECT_EQ(observations.size(), 13u * 10u);
+}
+
 }  // namespace
 }  // namespace ecnprobe::scenario

@@ -100,7 +100,7 @@ TEST(WorldChaos, SequentialResumeAfterCrashByteIdentical) {
       ASSERT_TRUE(journal.open(file.path, meta, &error)) << error;
       World world(params);
       const auto partial =
-          world.run_campaign(plan, {}, nullptr, &journal, kill_after);
+          world.run_campaign(plan, {}, &journal, kill_after);
       EXPECT_EQ(partial.size(), static_cast<std::size_t>(kill_after));
       EXPECT_EQ(journal.entries().size(), static_cast<std::size_t>(kill_after));
     }
@@ -109,7 +109,7 @@ TEST(WorldChaos, SequentialResumeAfterCrashByteIdentical) {
     ASSERT_TRUE(journal.open(file.path, meta, &error)) << error;
     EXPECT_EQ(journal.entries().size(), static_cast<std::size_t>(kill_after));
     World world(params);
-    const auto resumed = world.run_campaign(plan, {}, nullptr, &journal);
+    const auto resumed = world.run_campaign(plan, {}, &journal);
     EXPECT_EQ(campaign_csv(resumed), baseline_csv) << "kill after " << kill_after;
     EXPECT_EQ(obs::encode_obs(world.campaign_obs()), baseline_obs)
         << "kill after " << kill_after;
@@ -164,7 +164,7 @@ TEST(WorldChaos, PoisonedTraceQuarantinedOthersUnaffected) {
   poisoned_params.faults = *chaos::FaultPlan::parse("none,poison=3");
   World world(poisoned_params);
   std::vector<measure::TraceFailure> failures;
-  const auto traces = world.run_campaign(plan, {}, nullptr, nullptr, 0, &failures);
+  const auto traces = world.run_campaign(plan, {}, nullptr, 0, &failures);
 
   // The poisoned trace is quarantined and attributed, not fatal.
   ASSERT_EQ(failures.size(), 1u);
@@ -182,7 +182,7 @@ TEST(WorldChaos, PoisonedTraceQuarantinedOthersUnaffected) {
 
   // The sharded executor quarantines the same trace and produces the same
   // bytes, results and observability alike.
-  std::vector<measure::ParallelCampaign::TraceFailure> par_failures;
+  std::vector<measure::TraceFailure> par_failures;
   obs::ObsSnapshot par_obs;
   const auto par = run_parallel_campaign(poisoned_params, plan, {}, 2, &par_failures,
                                          &par_obs);
